@@ -62,7 +62,7 @@ util::Status SaveWorld(const std::string& path,
   }
   for (graph::NodeId p = 0; p < network.num_peers(); ++p) {
     const net::Peer& peer = network.peer(p);
-    auto alive = static_cast<uint8_t>(peer.alive() ? 1 : 0);
+    auto alive = static_cast<uint8_t>(network.IsAlive(p) ? 1 : 0);
     auto count = static_cast<uint64_t>(peer.database().size());
     if (!WriteValue(file.get(), alive) || !WriteValue(file.get(), count)) {
       return util::Status::Internal("short write on peer header");

@@ -80,6 +80,7 @@ util::Result<SimulatedNetwork> SimulatedNetwork::Make(
 
 SimulatedNetwork SimulatedNetwork::Clone(uint64_t seed) const {
   SimulatedNetwork copy(graph_, peers_, params_, util::Rng(seed));
+  copy.alive_bits_ = alive_bits_;
   copy.num_alive_ = num_alive_;
   if (fault_.has_value()) {
     copy.fault_.emplace(fault_->plan(), util::MixSeed(seed ^ 0xFA177ULL),
@@ -103,9 +104,10 @@ Peer& SimulatedNetwork::mutable_peer(graph::NodeId id) {
 }
 
 void SimulatedNetwork::SetAlive(graph::NodeId id, bool alive) {
-  Peer& p = mutable_peer(id);
-  if (p.alive() == alive) return;
-  p.set_alive(alive);
+  P2PAQP_CHECK(id < peers_.size()) << id;
+  if (IsAlive(id) == alive) return;
+  alive_bits_[id >> 6] ^= uint64_t{1} << (id & 63);
+  if (alive) peers_[id].Rejoin();
   num_alive_ += alive ? 1 : -1;
   if (history_ != nullptr) {
     history_->Record(
@@ -125,14 +127,14 @@ void SimulatedNetwork::AliveNeighborsInto(graph::NodeId id,
                                           std::vector<graph::NodeId>* out) const {
   out->clear();
   for (graph::NodeId v : graph_.neighbors(id)) {
-    if (peers_[v].alive()) out->push_back(v);
+    if (IsAlive(v)) out->push_back(v);
   }
 }
 
 uint32_t SimulatedNetwork::AliveDegree(graph::NodeId id) const {
   uint32_t deg = 0;
   for (graph::NodeId v : graph_.neighbors(id)) {
-    if (peers_[v].alive()) ++deg;
+    if (IsAlive(v)) ++deg;
   }
   return deg;
 }
@@ -233,7 +235,7 @@ util::Status SimulatedNetwork::SendAlongEdge(MessageType type,
   if (!graph_.HasEdge(from, to)) {
     return util::Status::InvalidArgument("no overlay connection");
   }
-  if (!peers_[from].alive() || !peers_[to].alive()) {
+  if (!IsAlive(from) || !IsAlive(to)) {
     return util::Status::Unavailable("endpoint departed");
   }
   if (batch > 1) {
@@ -254,7 +256,7 @@ util::Status SimulatedNetwork::SendAlongEdge(MessageType type,
     FaultDecision faults = ApplyFaults(type, from, to,
                                        CrashCandidate(type, from, to));
     cost_.RecordLatency(latency + faults.extra_latency_ms);
-    if (!peers_[from].alive() || !peers_[to].alive()) {
+    if (!IsAlive(from) || !IsAlive(to)) {
       RecordOutcome(false, type, from, to, batch);
       return util::Status::Unavailable("peer crashed mid-query");
     }
@@ -278,7 +280,7 @@ util::Status SimulatedNetwork::SendDirect(MessageType type,
   if (from >= peers_.size() || to >= peers_.size()) {
     return util::Status::InvalidArgument("endpoint out of range");
   }
-  if (!peers_[from].alive() || !peers_[to].alive()) {
+  if (!IsAlive(from) || !IsAlive(to)) {
     return util::Status::Unavailable("endpoint departed");
   }
   if (batch > 1) {
@@ -303,7 +305,7 @@ util::Status SimulatedNetwork::SendDirect(MessageType type,
     FaultDecision faults = ApplyFaults(type, from, to,
                                        CrashCandidate(type, from, to));
     cost_.RecordLatency(latency + faults.extra_latency_ms);
-    if (!peers_[from].alive() || !peers_[to].alive()) {
+    if (!IsAlive(from) || !IsAlive(to)) {
       RecordOutcome(false, type, from, to, batch);
       return util::Status::Unavailable("peer crashed mid-query");
     }
@@ -341,9 +343,9 @@ int64_t SimulatedNetwork::TotalTuples() const {
   // so the result is bit-identical for any thread count.
   auto partials = util::ParallelMap(peers_.num_blocks(), [this](size_t b) {
     int64_t total = 0;
-    for (const Peer& p : peers_.block(b)) {
-      if (p.alive()) total += static_cast<int64_t>(p.database().size());
-    }
+    ForEachAliveInBlock(b, [&](const Peer& p) {
+      total += static_cast<int64_t>(p.database().size());
+    });
     return total;
   }, kStaticBlocks);
   int64_t total = 0;
@@ -354,9 +356,9 @@ int64_t SimulatedNetwork::TotalTuples() const {
 int64_t SimulatedNetwork::ExactCount(data::Value lo, data::Value hi) const {
   auto partials = util::ParallelMap(peers_.num_blocks(), [&](size_t b) {
     int64_t total = 0;
-    for (const Peer& p : peers_.block(b)) {
-      if (p.alive()) total += p.database().Count(lo, hi);
-    }
+    ForEachAliveInBlock(b, [&](const Peer& p) {
+      total += p.database().Count(lo, hi);
+    });
     return total;
   }, kStaticBlocks);
   int64_t total = 0;
@@ -367,9 +369,9 @@ int64_t SimulatedNetwork::ExactCount(data::Value lo, data::Value hi) const {
 int64_t SimulatedNetwork::ExactSum(data::Value lo, data::Value hi) const {
   auto partials = util::ParallelMap(peers_.num_blocks(), [&](size_t b) {
     int64_t total = 0;
-    for (const Peer& p : peers_.block(b)) {
-      if (p.alive()) total += p.database().Sum(lo, hi);
-    }
+    ForEachAliveInBlock(b, [&](const Peer& p) {
+      total += p.database().Sum(lo, hi);
+    });
     return total;
   }, kStaticBlocks);
   int64_t total = 0;
@@ -382,12 +384,11 @@ double SimulatedNetwork::ExactMedian() const {
   // old serial scan), then select.
   auto blocks = util::ParallelMap(peers_.num_blocks(), [this](size_t b) {
     std::vector<double> values;
-    for (const Peer& p : peers_.block(b)) {
-      if (!p.alive()) continue;
+    ForEachAliveInBlock(b, [&](const Peer& p) {
       for (const data::Tuple& t : p.database().tuples()) {
         values.push_back(static_cast<double>(t.value));
       }
-    }
+    });
     return values;
   }, kStaticBlocks);
   std::vector<double> values;

@@ -8,6 +8,7 @@
 #ifndef P2PAQP_NET_NETWORK_H_
 #define P2PAQP_NET_NETWORK_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -86,9 +87,13 @@ class SimulatedNetwork {
   const Peer& peer(graph::NodeId id) const;
   Peer& mutable_peer(graph::NodeId id);
 
-  bool IsAlive(graph::NodeId id) const { return peers_[id].alive(); }
+  bool IsAlive(graph::NodeId id) const {
+    P2PAQP_DCHECK(id < peers_.size()) << id;
+    return (alive_bits_[id >> 6] >> (id & 63)) & 1;
+  }
   // Marks a peer as departed/re-joined (Gnutella-style churn: connections of
-  // a dead peer are simply unusable until it returns). Updates num_alive().
+  // a dead peer are simply unusable until it returns). Updates num_alive()
+  // and, on a rejoin, the peer's incarnation.
   void SetAlive(graph::NodeId id, bool alive);
 
   // Neighbors of `id` that are currently alive.
@@ -213,10 +218,12 @@ class SimulatedNetwork {
   double ExactMedian() const;
 
   // Heap footprint of the world: compressed adjacency + peer state
-  // (identities, liveness, local databases). Divided by num_peers() this is
-  // the gated bytes_per_peer metric (docs/PERFORMANCE.md).
+  // (identities, local databases) + the liveness bitset. Divided by
+  // num_peers() this is the gated bytes_per_peer metric
+  // (docs/PERFORMANCE.md).
   size_t MemoryBytes() const {
-    return graph_.MemoryBytes() + peers_.MemoryBytes();
+    return graph_.MemoryBytes() + peers_.MemoryBytes() +
+           alive_bits_.capacity() * sizeof(uint64_t);
   }
 
   util::Rng& rng() { return rng_; }
@@ -226,9 +233,20 @@ class SimulatedNetwork {
                    const NetworkParams& params, util::Rng rng)
       : graph_(std::move(graph)),
         peers_(std::move(peers)),
+        alive_bits_((peers_.size() + 63) / 64, ~uint64_t{0}),
         params_(params),
         num_alive_(peers_.size()),
         rng_(std::move(rng)) {}
+
+  // Calls fn(peer) for every alive peer of PeerStore block b, in id order.
+  template <typename Fn>
+  void ForEachAliveInBlock(size_t b, Fn&& fn) const {
+    const std::vector<Peer>& block = peers_.block(b);
+    const size_t first = peers_.block_first(b);
+    for (size_t k = 0; k < block.size(); ++k) {
+      if (IsAlive(static_cast<graph::NodeId>(first + k))) fn(block[k]);
+    }
+  }
 
   double SampleHopLatency();
 
@@ -239,6 +257,11 @@ class SimulatedNetwork {
 
   graph::Graph graph_;
   PeerStore peers_;
+  // Liveness, one bit per peer (bit id & 63 of word id >> 6; 1 = alive;
+  // bits past num_peers() are unused). SetAlive is its only writer. The
+  // live-neighbor filter of every walker hop reads it — 1.25 MB at 10M
+  // peers, so it stays cache-resident where the Peer records do not.
+  std::vector<uint64_t> alive_bits_;
   NetworkParams params_;
   size_t num_alive_;
   CostTracker cost_;

@@ -40,18 +40,16 @@ class Peer {
 
   const PeerCapabilities& capabilities() const { return capabilities_; }
 
-  bool alive() const { return alive_; }
-  void set_alive(bool alive) {
-    // A rejoin is a fresh session: the peer's previous life ended "without
-    // notice" (Sec. 1), so any state another component associates with the
-    // old incarnation (an in-flight walker token, a pending reply timer) is
-    // gone. Holders compare the incarnation they captured at hand-off
-    // against the current one to detect death-and-rebirth between events.
-    if (alive && !alive_) ++incarnation_;
-    alive_ = alive;
-  }
+  // Starts the peer's next life; SimulatedNetwork::SetAlive, which keeps
+  // liveness itself, calls it on every dead -> alive transition. A rejoin
+  // is a fresh session: the peer's previous life ended "without notice"
+  // (Sec. 1), so any state another component associates with the old
+  // incarnation (an in-flight walker token, a pending reply timer) is gone.
+  // Holders compare the incarnation they captured at hand-off against the
+  // current one to detect death-and-rebirth between events.
+  void Rejoin() { ++incarnation_; }
   // Number of times this peer has (re)joined; starts at 0 for the first
-  // life. Bumped on every dead -> alive transition.
+  // life.
   uint64_t incarnation() const { return incarnation_; }
 
   const data::LocalDatabase& database() const { return database_; }
@@ -65,7 +63,6 @@ class Peer {
   uint32_t ipv4_ = 0;
   uint16_t port_ = 0;
   PeerCapabilities capabilities_;
-  bool alive_ = true;
   uint64_t incarnation_ = 0;
   data::LocalDatabase database_;
 };

@@ -68,8 +68,9 @@ class PeerStore {
   size_t block_first(size_t b) const { return b << kBlockShift; }
 
   // Heap footprint of peer state: the Peer structs themselves plus every
-  // local database's tuple storage. Together with Graph::MemoryBytes this
-  // is the numerator of the gated bytes_per_peer metric.
+  // local database's tuple storage. Together with Graph::MemoryBytes and
+  // the network's liveness bitset this is the numerator of the gated
+  // bytes_per_peer metric.
   size_t MemoryBytes() const {
     size_t total = blocks_.capacity() * sizeof(std::vector<Peer>);
     for (const auto& block : blocks_) {

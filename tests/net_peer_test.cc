@@ -32,19 +32,11 @@ TEST(PeerTest, AddressAlwaysParsesAsIpPort) {
   }
 }
 
-TEST(PeerTest, DefaultPeerIsAliveWithEmptyDatabase) {
+TEST(PeerTest, DefaultPeerHasEmptyDatabase) {
   Peer peer;
-  EXPECT_TRUE(peer.alive());
   EXPECT_TRUE(peer.database().empty());
   EXPECT_EQ(peer.id(), graph::kInvalidNode);
-}
-
-TEST(PeerTest, LivenessToggle) {
-  Peer peer(1, 0, 1024, PeerCapabilities{});
-  peer.set_alive(false);
-  EXPECT_FALSE(peer.alive());
-  peer.set_alive(true);
-  EXPECT_TRUE(peer.alive());
+  EXPECT_EQ(peer.incarnation(), 0u);
 }
 
 TEST(PeerTest, DatabaseInstallAndMutate) {

@@ -68,6 +68,91 @@ TEST(NetworkTest, AliveNeighborsSkipDeparted) {
   EXPECT_EQ(network.AliveDegree(0), 0u);
 }
 
+// Checks every liveness reader of `network` against the reference `alive`
+// on a ring where peer v holds v % 4 + 1 tuples. The transport probes send
+// an overlay hop v -> v+1 and a direct reply v -> v+65, so every peer is
+// both a sender and a receiver in each pass.
+void ExpectLivenessMatches(SimulatedNetwork& network,
+                           const std::vector<bool>& alive) {
+  const auto n = static_cast<graph::NodeId>(alive.size());
+  size_t num_alive = 0;
+  int64_t total_tuples = 0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(network.IsAlive(v), alive[v]) << v;
+    if (alive[v]) {
+      ++num_alive;
+      total_tuples += v % 4 + 1;
+    }
+    std::vector<graph::NodeId> expected;
+    for (graph::NodeId u : network.graph().neighbors(v)) {
+      if (alive[u]) expected.push_back(u);
+    }
+    EXPECT_EQ(network.AliveNeighbors(v), expected) << v;
+    EXPECT_EQ(network.AliveDegree(v), expected.size()) << v;
+    graph::NodeId next = (v + 1) % n;
+    util::Status hop = network.SendAlongEdge(MessageType::kWalker, v, next);
+    EXPECT_EQ(hop.ok(), alive[v] && alive[next]) << v;
+    if (!hop.ok()) {
+      EXPECT_EQ(hop.code(), util::StatusCode::kUnavailable);
+    }
+    graph::NodeId far = (v + 65) % n;
+    util::Status reply =
+        network.SendDirect(MessageType::kAggregateReply, v, far);
+    EXPECT_EQ(reply.ok(), alive[v] && alive[far]) << v;
+    if (!reply.ok()) {
+      EXPECT_EQ(reply.code(), util::StatusCode::kUnavailable);
+    }
+  }
+  EXPECT_EQ(network.num_alive(), num_alive);
+  EXPECT_EQ(network.TotalTuples(), total_tuples);
+}
+
+// Liveness is one bit per peer in 64-bit words: ids on both sides of each
+// word boundary, and the partial last word, go down and come back.
+TEST(NetworkTest, LivenessAcrossWordEdges) {
+  constexpr size_t kPeers = 130;
+  graph::GraphBuilder builder(kPeers);
+  for (graph::NodeId v = 0; v < kPeers; ++v) {
+    builder.AddEdge(v, static_cast<graph::NodeId>((v + 1) % kPeers));
+  }
+  std::vector<data::LocalDatabase> dbs(kPeers);
+  for (size_t v = 0; v < kPeers; ++v) {
+    dbs[v] = data::LocalDatabase(data::Table(v % 4 + 1, data::Tuple{7}));
+  }
+  auto made = SimulatedNetwork::Make(builder.Build(), std::move(dbs),
+                                     NetworkParams{}, 3);
+  ASSERT_TRUE(made.ok());
+  SimulatedNetwork network = std::move(*made);
+
+  const graph::NodeId kEdgeIds[] = {0, 63, 64, 127, 128, 129};
+  std::vector<bool> alive(kPeers, true);
+  ExpectLivenessMatches(network, alive);
+  for (graph::NodeId id : kEdgeIds) {
+    network.SetAlive(id, false);
+    alive[id] = false;
+    ExpectLivenessMatches(network, alive);
+  }
+  const std::vector<bool> all_down = alive;
+  SimulatedNetwork down_clone = network.Clone(5);
+  ExpectLivenessMatches(down_clone, all_down);
+
+  for (graph::NodeId id : kEdgeIds) {
+    network.SetAlive(id, true);
+    alive[id] = true;
+    EXPECT_EQ(network.peer(id).incarnation(), 1u) << id;
+    ExpectLivenessMatches(network, alive);
+  }
+  // The clone owns its copy: rebirths in the original do not reach it.
+  ExpectLivenessMatches(down_clone, all_down);
+  SimulatedNetwork reborn_clone = network.Clone(6);
+  ExpectLivenessMatches(reborn_clone, alive);
+  for (graph::NodeId v = 0; v < kPeers; ++v) {
+    EXPECT_EQ(reborn_clone.peer(v).incarnation(),
+              network.peer(v).incarnation())
+        << v;
+  }
+}
+
 TEST(MessageTest, BatchedPayloadSharesExactlyOneHeader) {
   // A K-wide batch carries K payload bodies behind ONE Gnutella header:
   // batched == K * per_query - (K - 1) * header.
