@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "util/alloc_guard.h"
@@ -13,31 +12,6 @@
 namespace p2paqp::core {
 
 namespace {
-
-// Mirrors two_phase.cc's total-aggregate normalizer (N for COUNT, the
-// all-tuples sum for SUM) for the error normalization.
-double EstimateTotal(const std::vector<PeerObservation>& observations,
-                     query::AggregateOp op, double total_weight) {
-  std::vector<WeightedObservation> totals;
-  totals.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    double value = op == query::AggregateOp::kSum
-                       ? obs.aggregate.total_sum_value
-                       : static_cast<double>(obs.aggregate.local_tuples);
-    totals.push_back({value, obs.stationary_weight});
-  }
-  return HorvitzThompson(totals, total_weight);
-}
-
-std::vector<WeightedObservation> ToWeighted(
-    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
-  std::vector<WeightedObservation> weighted;
-  weighted.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    weighted.push_back({obs.aggregate.ValueFor(op), obs.stationary_weight});
-  }
-  return weighted;
-}
 
 // One in-flight phase. Stack-local to RunPhase: every queued event resolves
 // before RunPhase returns (the queue drains inside it), so events reference
@@ -693,16 +667,12 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   }
 
   const size_t delivered = observations.size();
-  const auto quorum = static_cast<size_t>(
-      std::ceil(params_.engine.min_observation_quorum *
-                static_cast<double>(count)));
   // A deadline-curtailed phase waives the quorum: the caller returns an
   // anytime answer with a widened CI instead of failing the query.
-  if (count > 0 && delivered < quorum && !runtime.deadline_hit &&
-      !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
-    return util::Status::Unavailable(
-        "async observation quorum not met: " + std::to_string(delivered) +
-        "/" + std::to_string(count) + " delivered");
+  if (!runtime.deadline_hit) {
+    util::Status quorum = CheckObservationQuorum(
+        delivered, count, params_.engine.min_observation_quorum);
+    if (!quorum.ok()) return quorum;
   }
   if (stats != nullptr) {
     stats->requested = count;
@@ -717,7 +687,6 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   }
   return std::move(observations);
 }
-
 
 util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
     const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
@@ -757,133 +726,44 @@ util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
                          &retry_budget, &phase1_elapsed);
   if (!phase1.ok()) return phase1.status();
 
-  double total_weight = catalog_.total_degree_weight();
+  const double total_weight = catalog_.total_degree_weight();
   TwoPhaseEngine::CollectionStats phase2_stats;
   std::vector<PeerObservation> phase2_set;
-  double estimated_total = 0.0;
-  double cv_normalized = 0.0;
-  if (phase1->size() >= 2) {
-    CrossValidationResult cv = CrossValidate(ToWeighted(*phase1, query.op),
-                                             total_weight,
-                                             params_.engine.cv_repeats, rng);
-    estimated_total = EstimateTotal(*phase1, query.op, total_weight);
-    if (estimated_total <= 0.0 ||
-        params_.engine.normalization == ErrorNormalization::kQueryAnswer) {
-      estimated_total = std::fabs(cv.estimate);
-    }
-    cv_normalized =
-        estimated_total == 0.0 ? 0.0 : cv.cv_error / estimated_total;
-    // Sized from the observations that actually arrived (== phase1_peers on
-    // the fault-free path): the cross-validation error was measured on
-    // those.
-    size_t phase2_peers = PhaseTwoSampleSize(
-        phase1->size(), cv_normalized, query.required_error,
-        params_.engine.min_phase2_peers,
-        params_.engine.max_phase2_peers == 0
-            ? network_->num_peers()
-            : params_.engine.max_phase2_peers);
-
+  PhaseTwoPlan plan;
+  auto planned = PlanPhaseTwo(*phase1, query, params_.engine, total_weight,
+                              network_->num_peers(), rng);
+  if (planned.ok()) {
+    plan = *planned;
     // ---- Phase II ----
     if (phase1_elapsed >= deadline) {
       // Phase I consumed the whole deadline: phase II never launches and
       // its entire request counts as lost.
-      phase2_stats.requested = phase2_peers;
-      phase2_stats.lost = phase2_peers;
+      phase2_stats.requested = plan.peers;
+      phase2_stats.lost = plan.peers;
       phase2_stats.deadline_hit = true;
     } else {
       // Phase II inherits whatever deadline budget phase I left over.
       const double remaining = std::isfinite(deadline)
                                    ? deadline - phase1_elapsed
                                    : deadline;
-      auto phase2 = RunPhase(events, query, sink, phase2_peers, rng,
+      auto phase2 = RunPhase(events, query, sink, plan.peers, rng,
                              &phase2_stats, &drain_allocs, remaining,
                              &retry_budget, &phase2_elapsed);
       if (!phase2.ok()) return phase2.status();
       phase2_set = std::move(*phase2);
     }
   } else if (!phase1_stats.deadline_hit) {
-    return util::Status::Unavailable(
-        "phase I delivered too few observations to cross-validate");
+    return planned.status();
   }
-  // (Fewer than 2 phase-I observations under a deadline: fall through and
-  // answer anytime from whatever phase I scraped together.)
+  // (Fewer than 2 phase-I observations under a deadline: no plan; the
+  // answer is the anytime one over whatever phase I scraped together.)
 
-  const bool anytime = phase1_stats.deadline_hit || phase2_stats.deadline_hit;
-  std::vector<PeerObservation> final_set;
-  if (params_.engine.include_phase1_observations || anytime) {
-    // An anytime answer uses every observation that reached the sink.
-    final_set = *phase1;
-    final_set.insert(final_set.end(), phase2_set.begin(), phase2_set.end());
-  } else {
-    final_set = phase2_set;
-  }
-
-  // Byzantine defenses, mirroring the synchronous engine.
-  const RobustnessPolicy& policy = params_.engine.robustness;
-  size_t suspected =
-      AuditObservationDegrees(network_, policy, sink, &final_set, rng);
-  if (final_set.empty() && !anytime) {
-    return util::Status::Unavailable(
-        "degree audit rejected every observation");
-  }
-  auto weighted = ToWeighted(final_set, query.op);
-
+  auto answer = BuildAnswer(network_, params_.engine, query.op, sink,
+                            total_weight, plan, *phase1, phase1_stats,
+                            phase2_set, phase2_stats, rng);
+  if (!answer.ok()) return answer.status();
   AsyncQueryReport report;
-  report.answer.suspected_peers = suspected;
-  if (weighted.empty()) {
-    // Deadline fired before a single observation survived: the anytime
-    // answer is a zero estimate with maximal degradation, never an error.
-    report.answer.estimate = 0.0;
-    report.answer.variance = 0.0;
-  } else if (policy.enabled()) {
-    RobustEstimate robust =
-        RobustHorvitzThompson(weighted, total_weight, policy);
-    report.answer.estimate = robust.estimate;
-    report.answer.variance = robust.variance;
-    report.answer.trimmed_mass = robust.trimmed_mass;
-  } else {
-    report.answer.estimate = HorvitzThompson(weighted, total_weight);
-    report.answer.variance = HorvitzThompsonVariance(weighted, total_weight);
-  }
-  // Degradation accounting mirrors the synchronous engine: reweight over
-  // the survivors, widen the CI by the root of the loss ratio.
-  report.answer.observations_lost = phase1_stats.lost + phase2_stats.lost;
-  report.answer.walk_restarts =
-      phase1_stats.walk_restarts + phase2_stats.walk_restarts;
-  report.answer.duplicate_replies =
-      phase1_stats.duplicate_replies + phase2_stats.duplicate_replies;
-  report.answer.deadline_hit = anytime;
-  report.answer.hedges_sent = phase1_stats.hedges + phase2_stats.hedges;
-  report.answer.stragglers_skipped =
-      phase1_stats.straggler_skips + phase2_stats.straggler_skips;
-  report.answer.degraded = report.answer.observations_lost > 0 ||
-                           suspected > 0 ||
-                           report.answer.trimmed_mass > 0.0 || anytime;
-  double inflation = 1.0;
-  if (report.answer.observations_lost > 0) {
-    size_t requested = phase1_stats.requested + phase2_stats.requested;
-    size_t arrived = phase1_stats.delivered + phase2_stats.delivered;
-    inflation = std::sqrt(static_cast<double>(requested) /
-                          static_cast<double>(std::max<size_t>(arrived, 1)));
-  }
-  double discarded = std::min(report.answer.trimmed_mass, 0.9);
-  if (discarded > 0.0) inflation *= std::sqrt(1.0 / (1.0 - discarded));
-  report.answer.ci_half_width_95 =
-      1.959963984540054 * std::sqrt(report.answer.variance) * inflation;
-  report.answer.estimated_total = estimated_total;
-  report.answer.cv_error_relative = cv_normalized;
-  double denom = estimated_total > 0.0 ? estimated_total
-                                       : std::fabs(report.answer.estimate);
-  report.answer.achieved_error =
-      denom > 0.0 ? report.answer.ci_half_width_95 / denom : 0.0;
-  if (anytime && final_set.size() < 2) {
-    // No usable spread: an anytime answer built from 0-1 observations has
-    // no defensible CI, so report total relative error instead of a
-    // spuriously perfect one.
-    report.answer.achieved_error = 1.0;
-  }
-  report.answer.phase1_peers = phase1->size();
-  report.answer.phase2_peers = phase2_set.size();
+  report.answer = std::move(*answer);
   report.answer.cost = net::CostDelta(network_->cost_snapshot(), before);
   report.answer.sample_tuples = report.answer.cost.tuples_sampled;
   // The event clock, not the sequential sum, is the real latency — measured
@@ -892,8 +772,9 @@ util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
   // and ledger balanced) without counting as waiting, and an anytime answer
   // is produced *at* the deadline.
   const double total_elapsed = phase1_elapsed + phase2_elapsed;
-  const double end_ms =
-      anytime ? std::min(total_elapsed, deadline) : total_elapsed;
+  const double end_ms = report.answer.deadline_hit
+                            ? std::min(total_elapsed, deadline)
+                            : total_elapsed;
   report.answer.cost.latency_ms = end_ms;
   report.makespan_ms = end_ms;
   report.phase1_done_ms = std::min(phase1_elapsed, end_ms);

@@ -6,9 +6,10 @@
 // a selected peer scans its table while the walker already moved on, and the
 // (y(p), deg(p)) replies race back to the sink over direct IP. The
 // AsyncQuerySession replays exactly the same statistical plan (same sampler
-// semantics, same cross-validation sizing, same estimates) on a
-// discrete-event clock, so the reported makespan is the true end-to-end
-// latency the paper's cost model cares about (Sec. 3.2).
+// semantics; phase II sized and the answer built by the shared
+// PlanPhaseTwo/BuildAnswer steps of two_phase.h) on a discrete-event clock,
+// so the reported makespan is the true end-to-end latency the paper's cost
+// model cares about (Sec. 3.2).
 #ifndef P2PAQP_CORE_ASYNC_ENGINE_H_
 #define P2PAQP_CORE_ASYNC_ENGINE_H_
 
@@ -94,8 +95,8 @@ class AsyncQuerySession {
   AsyncQuerySession(net::SimulatedNetwork* network,
                     const SystemCatalog& catalog, const AsyncParams& params);
 
-  // Runs the full adaptive two-phase COUNT/SUM/AVG plan event-driven.
-  // (Median/distinct/histogram stay on the synchronous engine.)
+  // Runs the full adaptive two-phase COUNT/SUM plan event-driven.
+  // (AVG, median/distinct/histogram stay on the synchronous engine.)
   util::Result<AsyncQueryReport> Execute(const query::AggregateQuery& query,
                                          graph::NodeId sink, util::Rng& rng);
 

@@ -83,6 +83,7 @@ util::Result<HistogramAnswer> EstimateHistogramTwoPhase(
   if (request.hi < request.lo || request.num_buckets == 0) {
     return util::Status::InvalidArgument("bad bucketization");
   }
+  engine.BeginQuery();
   net::SimulatedNetwork* network = engine.network();
   net::CostSnapshot before = network->cost_snapshot();
 
@@ -114,10 +115,8 @@ util::Result<HistogramAnswer> EstimateHistogramTwoPhase(
   double cv_l1 =
       std::sqrt(squared_sum / static_cast<double>(engine.params().cv_repeats));
 
-  size_t phase2_peers = PhaseTwoSampleSize(
-      m, cv_l1, request.required_l1, engine.params().min_phase2_peers,
-      engine.params().max_phase2_peers == 0 ? network->num_peers()
-                                            : engine.params().max_phase2_peers);
+  size_t phase2_peers = SizePhaseTwo(engine.params(), network->num_peers(),
+                                     m, cv_l1, request.required_l1);
 
   auto phase2 = CollectSamples(engine, request, sink, phase2_peers, rng);
   if (!phase2.ok()) return phase2.status();

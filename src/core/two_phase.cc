@@ -83,6 +83,16 @@ double EstimateTotal(const std::vector<PeerObservation>& observations,
   return HorvitzThompson(totals, total_weight);
 }
 
+std::vector<WeightedObservation> ToWeighted(
+    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
+  std::vector<WeightedObservation> weighted;
+  weighted.reserve(observations.size());
+  for (const PeerObservation& obs : observations) {
+    weighted.push_back({obs.aggregate.ValueFor(op), obs.stationary_weight});
+  }
+  return weighted;
+}
+
 }  // namespace
 
 size_t TamperObservation(net::AdversaryInjector* adversary,
@@ -255,11 +265,6 @@ TwoPhaseEngine::TwoPhaseEngine(net::SimulatedNetwork* network,
   P2PAQP_CHECK(sampler_ != nullptr);
   P2PAQP_CHECK_GT(total_weight_, 0.0);
   P2PAQP_CHECK_GE(params_.phase1_peers, 2u);
-}
-
-size_t TwoPhaseEngine::MaxPhase2Peers() const {
-  return params_.max_phase2_peers == 0 ? network_->num_peers()
-                                       : params_.max_phase2_peers;
 }
 
 util::Result<std::vector<PeerObservation>>
@@ -449,14 +454,9 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
     }
   }
   const size_t delivered_count = observations.size();
-  const auto quorum = static_cast<size_t>(std::ceil(
-      params_.min_observation_quorum * static_cast<double>(count)));
-  if (count > 0 && delivered_count < quorum &&
-      !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
-    return util::Status::Unavailable(
-        "observation quorum not met: " + std::to_string(delivered_count) +
-        "/" + std::to_string(count) + " delivered");
-  }
+  util::Status quorum = CheckObservationQuorum(
+      delivered_count, count, params_.min_observation_quorum);
+  if (!quorum.ok()) return quorum;
   if (stats != nullptr) {
     stats->requested = count;
     stats->delivered = delivered_count;
@@ -470,25 +470,17 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
   return observations;
 }
 
-std::vector<WeightedObservation> TwoPhaseEngine::ToWeighted(
-    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
-  std::vector<WeightedObservation> weighted;
-  weighted.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    weighted.push_back(
-        {obs.aggregate.ValueFor(op), obs.stationary_weight});
-  }
-  return weighted;
+void TwoPhaseEngine::BeginQuery() {
+  const net::StragglerPolicy& sp = params_.straggler;
+  if (!sp.enabled()) return;
+  health_.Configure(sp);
+  health_.Reset(network_->num_peers());
 }
 
 util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
     const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
   net::CostSnapshot before = network_->cost_snapshot();
   const net::StragglerPolicy& sp = params_.straggler;
-  if (sp.enabled()) {
-    health_.Configure(sp);
-    health_.Reset(network_->num_peers());
-  }
   // Query-scoped retry/hedge budget, shared by both phases.
   size_t retry_budget_left =
       sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
@@ -498,84 +490,158 @@ util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
   auto phase1 = CollectObservations(query, sink, params_.phase1_peers, rng,
                                     &phase1_stats, &retry_budget_left);
   if (!phase1.ok()) return phase1.status();
-  if (phase1->size() < 2) {
+
+  // ---- Plan: size phase II from the cross-validation error. ----
+  auto plan = PlanPhaseTwo(*phase1, query, params_, total_weight_,
+                           network_->num_peers(), rng);
+  if (!plan.ok()) return plan.status();
+
+  // ---- Phase II: execute the plan. ----
+  CollectionStats phase2_stats;
+  auto phase2 = CollectObservations(query, sink, plan->peers, rng,
+                                    &phase2_stats, &retry_budget_left);
+  if (!phase2.ok()) return phase2.status();
+
+  auto answer = BuildAnswer(network_, params_, query.op, sink, total_weight_,
+                            *plan, *phase1, phase1_stats, *phase2,
+                            phase2_stats, rng);
+  if (!answer.ok()) return answer;
+  answer->cost = net::CostDelta(network_->cost_snapshot(), before);
+  answer->sample_tuples = answer->cost.tuples_sampled;
+  return answer;
+}
+
+util::Result<ApproximateAnswer> TwoPhaseEngine::Execute(
+    const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
+  if (sink >= network_->num_peers() || !network_->IsAlive(sink)) {
+    return util::Status::FailedPrecondition("sink peer is not live");
+  }
+  BeginQuery();
+  switch (query.op) {
+    case query::AggregateOp::kCount:
+    case query::AggregateOp::kSum:
+    case query::AggregateOp::kAvg:
+      return ExecuteCentral(query, sink, rng);
+    case query::AggregateOp::kMedian:
+    case query::AggregateOp::kQuantile:
+      return EstimateQuantileTwoPhase(*this, query, sink, rng);
+    case query::AggregateOp::kDistinct:
+      return EstimateDistinctTwoPhase(*this, query, sink, rng);
+  }
+  return util::Status::InvalidArgument("unknown aggregate operator");
+}
+
+size_t SizePhaseTwo(const EngineParams& params, size_t num_peers,
+                    size_t phase1_peers, double cv_error_relative,
+                    double required_error) {
+  return PhaseTwoSampleSize(
+      phase1_peers, cv_error_relative, required_error,
+      params.min_phase2_peers,
+      params.max_phase2_peers == 0 ? num_peers : params.max_phase2_peers);
+}
+
+util::Result<PhaseTwoPlan> PlanPhaseTwo(
+    const std::vector<PeerObservation>& phase1,
+    const query::AggregateQuery& query, const EngineParams& params,
+    double total_weight, size_t num_peers, util::Rng& rng) {
+  if (phase1.size() < 2) {
     return util::Status::Unavailable(
         "phase I delivered too few observations to cross-validate");
   }
-
   const bool is_avg = query.op == query::AggregateOp::kAvg;
   CrossValidationResult cv =
-      is_avg ? CrossValidateRatio(*phase1, total_weight_, params_.cv_repeats,
-                                  rng)
-             : CrossValidate(ToWeighted(*phase1, query.op), total_weight_,
-                             params_.cv_repeats, rng);
+      is_avg ? CrossValidateRatio(phase1, total_weight, params.cv_repeats, rng)
+             : CrossValidate(ToWeighted(phase1, query.op), total_weight,
+                             params.cv_repeats, rng);
 
   // The paper normalizes errors to [0,1] against the *total* aggregate
   // (N for COUNT; Sec. 3.4: dividing the variance by N^2 yields the squared
   // relative-count error). Estimate that total from the same phase-I
   // sample: every reply already carries the peer's tuple count and scaled
   // all-tuples sum.
-  double estimated_total = EstimateTotal(*phase1, query.op, total_weight_);
-  if (is_avg || estimated_total <= 0.0 ||
-      params_.normalization == ErrorNormalization::kQueryAnswer) {
+  PhaseTwoPlan plan;
+  plan.estimated_total = EstimateTotal(phase1, query.op, total_weight);
+  if (is_avg || plan.estimated_total <= 0.0 ||
+      params.normalization == ErrorNormalization::kQueryAnswer) {
     // AVG never scales with selectivity; kQueryAnswer opts COUNT/SUM into
     // the same answer-relative guarantee.
-    estimated_total = std::fabs(cv.estimate);
+    plan.estimated_total = std::fabs(cv.estimate);
   }
-  double cv_normalized =
-      estimated_total == 0.0 ? 0.0 : cv.cv_error / estimated_total;
-
-  // ---- Plan: size phase II from the cross-validation error. ----
+  plan.cv_error_relative = plan.estimated_total == 0.0
+                               ? 0.0
+                               : cv.cv_error / plan.estimated_total;
   // Sized from the observations that actually arrived (== phase1_peers on
   // the fault-free path): the cross-validation error was measured on those.
-  size_t phase2_peers = PhaseTwoSampleSize(
-      phase1->size(), cv_normalized, query.required_error,
-      params_.min_phase2_peers, MaxPhase2Peers());
+  plan.peers = SizePhaseTwo(params, num_peers, phase1.size(),
+                            plan.cv_error_relative, query.required_error);
+  return plan;
+}
 
-  // ---- Phase II: execute the plan. ----
-  CollectionStats phase2_stats;
-  auto phase2 = CollectObservations(query, sink, phase2_peers, rng,
-                                    &phase2_stats, &retry_budget_left);
-  if (!phase2.ok()) return phase2.status();
+util::Status CheckObservationQuorum(size_t delivered, size_t requested,
+                                    double min_observation_quorum) {
+  const auto quorum = static_cast<size_t>(
+      std::ceil(min_observation_quorum * static_cast<double>(requested)));
+  if (delivered >= quorum ||
+      util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
+    return util::Status::Ok();
+  }
+  return util::Status::Unavailable(
+      "observation quorum not met: " + std::to_string(delivered) + "/" +
+      std::to_string(requested) + " delivered");
+}
 
+util::Result<ApproximateAnswer> BuildAnswer(
+    net::SimulatedNetwork* network, const EngineParams& params,
+    query::AggregateOp op, graph::NodeId sink, double total_weight,
+    const PhaseTwoPlan& plan, const std::vector<PeerObservation>& phase1,
+    const TwoPhaseEngine::CollectionStats& phase1_stats,
+    const std::vector<PeerObservation>& phase2,
+    const TwoPhaseEngine::CollectionStats& phase2_stats, util::Rng& rng) {
+  const bool anytime = phase1_stats.deadline_hit || phase2_stats.deadline_hit;
   std::vector<PeerObservation> final_set;
-  if (params_.include_phase1_observations) {
-    final_set = *phase1;
-    final_set.insert(final_set.end(), phase2->begin(), phase2->end());
+  if (params.include_phase1_observations || anytime) {
+    // An anytime answer uses every observation that reached the sink.
+    final_set = phase1;
+    final_set.insert(final_set.end(), phase2.begin(), phase2.end());
   } else {
-    final_set = *phase2;
+    final_set = phase2;
   }
 
   // ---- Byzantine defenses (RobustnessPolicy). ----
-  const RobustnessPolicy& policy = params_.robustness;
+  const RobustnessPolicy& policy = params.robustness;
   size_t suspected =
-      AuditObservationDegrees(network_, policy, sink, &final_set, rng);
-  if (final_set.empty()) {
+      AuditObservationDegrees(network, policy, sink, &final_set, rng);
+  if (final_set.empty() && !anytime) {
     return util::Status::Unavailable(
         "degree audit rejected every observation");
   }
 
   ApproximateAnswer answer;
   answer.suspected_peers = suspected;
-  if (is_avg) {
+  if (final_set.empty()) {
+    // Deadline fired before a single observation survived: the anytime
+    // answer is a zero estimate with maximal degradation, never an error.
+    answer.estimate = 0.0;
+    answer.variance = 0.0;
+  } else if (op == query::AggregateOp::kAvg) {
     // The ratio path is not robustified (known gap, see docs/ALGORITHM.md):
     // it still benefits from the audit and dedup above.
-    answer.estimate = RatioEstimate(final_set, total_weight_);
+    answer.estimate = RatioEstimate(final_set, total_weight);
     // Delta-method style variability proxy: variance of the ratio across
     // the CV halves is already folded into cv_error; report the count-based
     // variance scaled by the ratio as a conservative stand-in.
     answer.variance = 0.0;
   } else {
-    auto weighted = ToWeighted(final_set, query.op);
+    auto weighted = ToWeighted(final_set, op);
     if (policy.enabled()) {
       RobustEstimate robust =
-          RobustHorvitzThompson(weighted, total_weight_, policy);
+          RobustHorvitzThompson(weighted, total_weight, policy);
       answer.estimate = robust.estimate;
       answer.variance = robust.variance;
       answer.trimmed_mass = robust.trimmed_mass;
     } else {
-      answer.estimate = HorvitzThompson(weighted, total_weight_);
-      answer.variance = HorvitzThompsonVariance(weighted, total_weight_);
+      answer.estimate = HorvitzThompson(weighted, total_weight);
+      answer.variance = HorvitzThompsonVariance(weighted, total_weight);
     }
   }
   // ---- Degradation accounting. ----
@@ -584,11 +650,12 @@ util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
       phase1_stats.walk_restarts + phase2_stats.walk_restarts;
   answer.duplicate_replies =
       phase1_stats.duplicate_replies + phase2_stats.duplicate_replies;
+  answer.deadline_hit = anytime;
   answer.hedges_sent = phase1_stats.hedges + phase2_stats.hedges;
   answer.stragglers_skipped =
       phase1_stats.straggler_skips + phase2_stats.straggler_skips;
   answer.degraded = answer.observations_lost > 0 || suspected > 0 ||
-                    answer.trimmed_mass > 0.0;
+                    answer.trimmed_mass > 0.0 || anytime;
   double inflation = 1.0;
   if (answer.observations_lost > 0) {
     // The HT reweighting over the survivors is unbiased when loss is
@@ -602,41 +669,26 @@ util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
   }
   // Every observation the defenses discarded or clamped is information the
   // CI no longer reflects; widen by the root of the surviving fraction,
-  // mirroring the loss widening above.
+  // as the loss widening above does for lost replies.
   double discarded = std::min(answer.trimmed_mass, 0.9);
   if (discarded > 0.0) inflation *= std::sqrt(1.0 / (1.0 - discarded));
   answer.ci_half_width_95 = kZ95 * std::sqrt(answer.variance) * inflation;
-  answer.estimated_total = estimated_total;
-  answer.cv_error_relative = cv_normalized;
-  answer.phase1_peers = phase1->size();
-  answer.phase2_peers = phase2->size();
+  answer.estimated_total = plan.estimated_total;
+  answer.cv_error_relative = plan.cv_error_relative;
+  answer.phase1_peers = phase1.size();
+  answer.phase2_peers = phase2.size();
   // The error bound actually achieved, on required_error's scale.
-  double denom = estimated_total > 0.0 ? estimated_total
-                                       : std::fabs(answer.estimate);
+  double denom = plan.estimated_total > 0.0 ? plan.estimated_total
+                                            : std::fabs(answer.estimate);
   answer.achieved_error =
       denom > 0.0 ? answer.ci_half_width_95 / denom : 0.0;
-  answer.cost = net::CostDelta(network_->cost_snapshot(), before);
-  answer.sample_tuples = answer.cost.tuples_sampled;
+  if (anytime && final_set.size() < 2) {
+    // No usable spread: an anytime answer built from 0-1 observations has
+    // no defensible CI, so report total relative error instead of a
+    // spuriously perfect one.
+    answer.achieved_error = 1.0;
+  }
   return answer;
-}
-
-util::Result<ApproximateAnswer> TwoPhaseEngine::Execute(
-    const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
-  if (sink >= network_->num_peers() || !network_->IsAlive(sink)) {
-    return util::Status::FailedPrecondition("sink peer is not live");
-  }
-  switch (query.op) {
-    case query::AggregateOp::kCount:
-    case query::AggregateOp::kSum:
-    case query::AggregateOp::kAvg:
-      return ExecuteCentral(query, sink, rng);
-    case query::AggregateOp::kMedian:
-    case query::AggregateOp::kQuantile:
-      return EstimateQuantileTwoPhase(*this, query, sink, rng);
-    case query::AggregateOp::kDistinct:
-      return EstimateDistinctTwoPhase(*this, query, sink, rng);
-  }
-  return util::Status::InvalidArgument("unknown aggregate operator");
 }
 
 }  // namespace p2paqp::core

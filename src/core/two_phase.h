@@ -214,6 +214,13 @@ class TwoPhaseEngine {
   util::Result<ApproximateAnswer> Execute(const query::AggregateQuery& query,
                                           graph::NodeId sink, util::Rng& rng);
 
+  // Starts a query: with the straggler policy on, sizes and clears the
+  // health board, so the walk's circuit breaker neither sits unsized nor
+  // walks on the previous query's scores. Execute calls it for every
+  // operator; a plan that drives CollectObservations itself (the histogram
+  // path) calls it first.
+  void BeginQuery();
+
   // Per-collection fault-recovery accounting.
   struct CollectionStats {
     size_t requested = 0;
@@ -263,24 +270,86 @@ class TwoPhaseEngine {
   util::Result<ApproximateAnswer> ExecuteCentral(
       const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng);
 
-  // Turns observations into per-op WeightedObservations.
-  static std::vector<WeightedObservation> ToWeighted(
-      const std::vector<PeerObservation>& observations,
-      query::AggregateOp op);
-
-  size_t MaxPhase2Peers() const;
-
   net::SimulatedNetwork* network_;
   SystemCatalog catalog_;
   EngineParams params_;
   // Reply-latency/failure scoreboard feeding the walk's circuit breaker.
   // Declared before sampler_ so the default sampler's WalkParams can point
-  // at it. Reset per Execute() when the straggler policy is enabled.
+  // at it. Reset by BeginQuery() when the straggler policy is enabled.
   net::PeerHealthBoard health_;
   std::unique_ptr<sampling::PeerSampler> sampler_;
   double total_weight_;
   LocalResultCache* cache_ = nullptr;
 };
+
+// ---- The plan's sink-side steps (Sec. 4) ----------------------------------
+// TwoPhaseEngine, AsyncQuerySession and QueryScheduler collect observations
+// their own way (one sequential walk, event-driven walkers, a shared sample
+// frame), but all three size phase II and build their answers through the
+// functions below, so the plan has one rule set whichever engine runs it.
+
+// Phase-II plan the sink derives from the phase-I observations.
+struct PhaseTwoPlan {
+  // m': peers to select in phase II.
+  size_t peers = 0;
+  // What errors are normalized against (ApproximateAnswer::estimated_total).
+  double estimated_total = 0.0;
+  // Cross-validation error over estimated_total
+  // (ApproximateAnswer::cv_error_relative).
+  double cv_error_relative = 0.0;
+};
+
+// The paper's m' = (m/2) * (CVError / delta_req)^2 (PhaseTwoSampleSize),
+// clamped to [params.min_phase2_peers, cap], where the cap is
+// params.max_phase2_peers or, when that is 0, the network size. The median,
+// distinct and histogram plans call it with their own CV errors.
+size_t SizePhaseTwo(const EngineParams& params, size_t num_peers,
+                    size_t phase1_peers, double cv_error_relative,
+                    double required_error);
+
+// Sizing step for COUNT/SUM/AVG: cross-validates `phase1` (the ratio CV for
+// AVG), estimates the total aggregate errors are normalized against, and
+// sizes phase II from the observations that actually arrived. The total
+// falls back to |CV estimate| for AVG (which never scales with
+// selectivity), under ErrorNormalization::kQueryAnswer, or when the
+// estimated total is not positive. Unavailable, without drawing from `rng`,
+// when fewer than two observations arrived; otherwise draws the CV shuffles.
+util::Result<PhaseTwoPlan> PlanPhaseTwo(
+    const std::vector<PeerObservation>& phase1,
+    const query::AggregateQuery& query, const EngineParams& params,
+    double total_weight, size_t num_peers, util::Rng& rng);
+
+// Quorum rule: Unavailable when fewer than
+// ceil(min_observation_quorum * requested) observations were delivered.
+// The kSkipQuorumCheck injected bug waives it.
+util::Status CheckObservationQuorum(size_t delivered, size_t requested,
+                                    double min_observation_quorum);
+
+// Answer step for COUNT/SUM/AVG.
+//  - Final set: phase II, plus phase I under
+//    params.include_phase1_observations or when a deadline cut collection
+//    short (an anytime answer, flagged by either stats' deadline_hit).
+//  - Degree audit (AuditObservationDegrees; draws from `rng` only when the
+//    policy probes). An empty set fails, except an anytime one, which
+//    answers 0.
+//  - Estimate: the HT ratio for AVG (variance 0; not robustified), else
+//    robust HT when params.robustness is enabled, else plain HT.
+//  - ci_half_width_95 = z95 * sqrt(variance) * inflation: sqrt(requested /
+//    arrived) when observations were lost, times sqrt(1 / (1 - d)) with
+//    d = min(trimmed_mass, 0.9) when the robust estimator discarded mass.
+//  - achieved_error = ci_half_width_95 / plan.estimated_total, or over
+//    |estimate| when that total is 0 (0 when both are); 1.0 for an anytime
+//    answer from fewer than two observations.
+//  - Every degradation, audit and straggler field, summed over both phases.
+// `network` is touched only by the audit. The caller fills in `cost` and
+// `sample_tuples`.
+util::Result<ApproximateAnswer> BuildAnswer(
+    net::SimulatedNetwork* network, const EngineParams& params,
+    query::AggregateOp op, graph::NodeId sink, double total_weight,
+    const PhaseTwoPlan& plan, const std::vector<PeerObservation>& phase1,
+    const TwoPhaseEngine::CollectionStats& phase1_stats,
+    const std::vector<PeerObservation>& phase2,
+    const TwoPhaseEngine::CollectionStats& phase2_stats, util::Rng& rng);
 
 }  // namespace p2paqp::core
 

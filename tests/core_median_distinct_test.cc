@@ -1,4 +1,5 @@
 // Median/quantile (Sec. 5.6) and distinct-value estimation tests.
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -101,6 +102,58 @@ TEST(QuantileTest, ArbitraryPhi) {
     EXPECT_LT(RankError(tn.network, answer->estimate, phi), 0.12)
         << "phi " << phi;
   }
+}
+
+TEST(MedianTest, HealthBoardStartsFreshForEveryQuery) {
+  // With the straggler health breaker on, each query must walk on a board
+  // sized and cleared for it: a MEDIAN answered right after a COUNT on the
+  // same engine has to replay the same MEDIAN on a fresh engine exactly.
+  // In this slow-coalition regime a board leaked from the COUNT changes
+  // the MEDIAN's walk.
+  TestNetworkParams net_params;
+  net_params.num_peers = 400;
+  net_params.num_edges = 2000;
+  net_params.cut_edges = 100;
+  TestNetwork tn = MakeTestNetwork(net_params);
+  net::FaultPlan faults;
+  faults.slow_fraction = 0.1;
+  faults.slow_factor = 40.0;
+  const std::mt19937_64 transport_state = tn.network.rng().engine();
+  // Every query below replays against the same transport draws.
+  auto rewind = [&]() {
+    tn.network.rng().engine() = transport_state;
+    tn.network.InstallFaultPlan(faults, 9);
+  };
+  EngineParams params;
+  params.phase1_peers = 80;
+  params.max_phase2_peers = 400;
+  params.straggler.health_tracking = true;
+  query::AggregateQuery median;
+  median.op = query::AggregateOp::kMedian;
+  median.predicate = {1, 100};
+  median.required_error = 0.05;
+  // A tight COUNT walks far enough to trip breakers on the slow peers.
+  query::AggregateQuery count;
+  count.op = query::AggregateOp::kCount;
+  count.predicate = {1, 100};
+  count.required_error = 0.05;
+
+  rewind();
+  TwoPhaseEngine fresh(&tn.network, tn.catalog, params);
+  util::Rng fresh_rng(5);
+  auto expected = fresh.Execute(median, 0, fresh_rng);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  TwoPhaseEngine reused(&tn.network, tn.catalog, params);
+  rewind();
+  util::Rng count_rng(5);
+  ASSERT_TRUE(reused.Execute(count, 0, count_rng).ok());
+  rewind();
+  util::Rng median_rng(5);
+  auto after_count = reused.Execute(median, 0, median_rng);
+  ASSERT_TRUE(after_count.ok()) << after_count.status().ToString();
+  EXPECT_EQ(after_count->estimate, expected->estimate);
+  EXPECT_EQ(after_count->cost.walker_hops, expected->cost.walker_hops);
 }
 
 TEST(QuantileTest, RejectsDegeneratePhi) {

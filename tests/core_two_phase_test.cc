@@ -563,5 +563,157 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.0, 0.5, 1.0),
                        ::testing::Values(0.2, 1.0, 2.0)));
 
+// ---- The shared answer step (BuildAnswer) on hand-built observations ------
+// Unit weights and a unit total weight make every per-peer HT contribution
+// equal to its value. The audit is off, so no network is needed.
+
+constexpr double kZ95 = 1.959963984540054;
+
+std::vector<PeerObservation> CountObservations(
+    const std::vector<double>& values) {
+  std::vector<PeerObservation> observations;
+  for (size_t i = 0; i < values.size(); ++i) {
+    PeerObservation obs;
+    obs.peer = static_cast<graph::NodeId>(i);
+    obs.degree = 1;
+    obs.stationary_weight = 1.0;
+    obs.aggregate.count_value = values[i];
+    observations.push_back(obs);
+  }
+  return observations;
+}
+
+TwoPhaseEngine::CollectionStats Collected(size_t requested,
+                                          size_t delivered) {
+  TwoPhaseEngine::CollectionStats stats;
+  stats.requested = requested;
+  stats.delivered = delivered;
+  stats.lost = requested - delivered;
+  return stats;
+}
+
+std::vector<WeightedObservation> UnitWeighted(
+    const std::vector<double>& values) {
+  std::vector<WeightedObservation> weighted;
+  for (double v : values) weighted.push_back({v, 1.0});
+  return weighted;
+}
+
+TEST(AnswerStepTest, LossWidensIntervalByRootOfRequestedOverArrived) {
+  const std::vector<double> phase2 = {3.0, 5.0, 8.0, 1.0, 6.0};
+  const PhaseTwoPlan plan{.peers = 7, .estimated_total = 100.0,
+                          .cv_error_relative = 0.2};
+  util::Rng rng(1);
+  auto answer = BuildAnswer(
+      nullptr, EngineParams{}, query::AggregateOp::kCount, 0, 1.0, plan,
+      CountObservations({2.0, 4.0, 9.0}), Collected(4, 3),
+      CountObservations(phase2), Collected(7, 5), rng);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const double variance = HorvitzThompsonVariance(UnitWeighted(phase2), 1.0);
+  ASSERT_GT(variance, 0.0);
+  EXPECT_DOUBLE_EQ(answer->estimate, 23.0 / 5.0);
+  EXPECT_DOUBLE_EQ(answer->variance, variance);
+  // 11 observations requested over both phases, 8 arrived.
+  EXPECT_DOUBLE_EQ(answer->ci_half_width_95,
+                   kZ95 * std::sqrt(variance) * std::sqrt(11.0 / 8.0));
+  EXPECT_DOUBLE_EQ(answer->achieved_error, answer->ci_half_width_95 / 100.0);
+  EXPECT_EQ(answer->observations_lost, 3u);
+  EXPECT_TRUE(answer->degraded);
+  EXPECT_FALSE(answer->deadline_hit);
+  EXPECT_EQ(answer->estimated_total, 100.0);
+  EXPECT_EQ(answer->cv_error_relative, 0.2);
+  EXPECT_EQ(answer->phase1_peers, 3u);
+  EXPECT_EQ(answer->phase2_peers, 5u);
+}
+
+TEST(AnswerStepTest, TrimWidensIntervalByRootOfSurvivingFraction) {
+  // 22 distinct values trimmed 10 per tail: trimmed_mass 20/22 exceeds the
+  // 0.9 cap, and the two survivors still have a spread.
+  std::vector<double> phase2;
+  for (int i = 1; i <= 22; ++i) phase2.push_back(static_cast<double>(i * i));
+  EngineParams params;
+  params.robustness.estimator = RobustEstimatorKind::kTrimmed;
+  params.robustness.trim_fraction = 0.5;
+  const PhaseTwoPlan plan{.peers = 24, .estimated_total = 1000.0,
+                          .cv_error_relative = 0.1};
+  util::Rng rng(1);
+  auto answer = BuildAnswer(nullptr, params, query::AggregateOp::kCount, 0,
+                            1.0, plan, CountObservations({1.0, 2.0}),
+                            Collected(2, 2), CountObservations(phase2),
+                            Collected(24, 22), rng);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  RobustEstimate robust =
+      RobustHorvitzThompson(UnitWeighted(phase2), 1.0, params.robustness);
+  ASSERT_GT(robust.variance, 0.0);
+  ASSERT_GT(robust.trimmed_mass, 0.9);
+  EXPECT_EQ(answer->estimate, robust.estimate);
+  EXPECT_EQ(answer->trimmed_mass, robust.trimmed_mass);
+  // Loss factor first, then the trim factor at the capped 0.9.
+  double inflation = std::sqrt(26.0 / 24.0);
+  inflation *= std::sqrt(1.0 / (1.0 - 0.9));
+  EXPECT_DOUBLE_EQ(answer->ci_half_width_95,
+                   kZ95 * std::sqrt(robust.variance) * inflation);
+
+  // Below the cap the factor uses trimmed_mass itself: 8 values trimmed 2
+  // per tail discard half the set.
+  const std::vector<double> eight = {1.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0,
+                                     64.0};
+  params.robustness.trim_fraction = 0.25;
+  auto half = BuildAnswer(nullptr, params, query::AggregateOp::kCount, 0, 1.0,
+                          plan, CountObservations({1.0, 2.0}),
+                          Collected(2, 2), CountObservations(eight),
+                          Collected(8, 8), rng);
+  ASSERT_TRUE(half.ok()) << half.status().ToString();
+  EXPECT_EQ(half->trimmed_mass, 0.5);
+  EXPECT_EQ(half->observations_lost, 0u);
+  EXPECT_TRUE(half->degraded);
+  RobustEstimate half_robust =
+      RobustHorvitzThompson(UnitWeighted(eight), 1.0, params.robustness);
+  EXPECT_DOUBLE_EQ(half->ci_half_width_95,
+                   kZ95 * std::sqrt(half_robust.variance) *
+                       std::sqrt(1.0 / (1.0 - 0.5)));
+}
+
+TEST(AnswerStepTest, AchievedErrorFallsBackToEstimateWithoutTotal) {
+  const std::vector<double> phase2 = {2.0, 6.0, 4.0, 12.0};
+  const PhaseTwoPlan plan{.peers = 4, .estimated_total = 0.0,
+                          .cv_error_relative = 0.0};
+  util::Rng rng(1);
+  auto answer = BuildAnswer(nullptr, EngineParams{},
+                            query::AggregateOp::kCount, 0, 1.0, plan,
+                            CountObservations({1.0, 2.0}), Collected(2, 2),
+                            CountObservations(phase2), Collected(4, 4), rng);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_FALSE(answer->degraded);
+  EXPECT_DOUBLE_EQ(answer->estimate, 6.0);
+  EXPECT_DOUBLE_EQ(answer->ci_half_width_95,
+                   kZ95 * std::sqrt(HorvitzThompsonVariance(
+                              UnitWeighted(phase2), 1.0)));
+  EXPECT_DOUBLE_EQ(answer->achieved_error, answer->ci_half_width_95 / 6.0);
+}
+
+TEST(AnswerStepTest, EmptyAnytimeSetAnswersZeroInsteadOfFailing) {
+  TwoPhaseEngine::CollectionStats phase1 = Collected(30, 0);
+  phase1.deadline_hit = true;
+  util::Rng rng(1);
+  auto answer = BuildAnswer(nullptr, EngineParams{},
+                            query::AggregateOp::kCount, 0, 1.0, PhaseTwoPlan{},
+                            {}, phase1, {}, Collected(0, 0), rng);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->estimate, 0.0);
+  EXPECT_EQ(answer->ci_half_width_95, 0.0);
+  EXPECT_EQ(answer->achieved_error, 1.0);
+  EXPECT_EQ(answer->observations_lost, 30u);
+  EXPECT_TRUE(answer->deadline_hit);
+  EXPECT_TRUE(answer->degraded);
+
+  // Without a deadline the same empty set is an error, not an answer.
+  auto failed = BuildAnswer(nullptr, EngineParams{},
+                            query::AggregateOp::kCount, 0, 1.0, PhaseTwoPlan{},
+                            {}, Collected(30, 0), {}, Collected(0, 0), rng);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kUnavailable);
+}
+
 }  // namespace
 }  // namespace p2paqp::core
