@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -149,50 +148,6 @@ void BM_BuildPowerLawGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildPowerLawGraph)->Arg(1000)->Arg(10000);
 
-// The pre-PR-5 event queue (std::function events ordered by a binary
-// std::priority_queue), kept here verbatim as the comparison baseline for
-// the slab + 4-ary-heap core in net/event_sim. The acceptance line is the
-// new core running >= 2x the legacy throughput on a 1M-event schedule/run.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  void ScheduleAt(double at, Callback callback) {
-    heap_.push(Event{at, next_sequence_++, std::move(callback)});
-  }
-  bool RunOne() {
-    if (heap_.empty()) return false;
-    auto& top = const_cast<Event&>(heap_.top());
-    double at = top.at;
-    Callback callback = std::move(top.callback);
-    heap_.pop();
-    now_ = at;
-    callback();
-    return true;
-  }
-  double RunUntilEmpty() {
-    while (RunOne()) {
-    }
-    return now_;
-  }
-
- private:
-  struct Event {
-    double at = 0.0;
-    uint64_t sequence = 0;
-    Callback callback;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.sequence > b.sequence;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  double now_ = 0.0;
-  uint64_t next_sequence_ = 0;
-};
-
 // Deterministic pseudo-times spreading events over a window so the heap
 // stays deep (the async engine's worst case), cheap enough to not dominate.
 inline double EventTime(uint64_t i) {
@@ -214,21 +169,6 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 14)->Arg(1000000);
-
-void BM_EventQueueLegacyScheduleRun(benchmark::State& state) {
-  const auto n = static_cast<uint64_t>(state.range(0));
-  for (auto _ : state) {
-    LegacyEventQueue queue;
-    uint64_t sum = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      queue.ScheduleAt(EventTime(i), [&sum, i] { sum += i; });
-    }
-    queue.RunUntilEmpty();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_EventQueueLegacyScheduleRun)->Arg(1 << 14)->Arg(1000000);
 
 // Steady-state churn: a bounded pending set with every executed event
 // scheduling a successor — the shape the async engine and the multi-query

@@ -685,7 +685,7 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
     stats->straggler_skips = runtime.straggler_skips;
     stats->deadline_hit = runtime.deadline_hit;
   }
-  return std::move(observations);
+  return observations;
 }
 
 util::Result<AsyncQueryReport> AsyncQuerySession::Execute(

@@ -159,9 +159,9 @@ class NeighborRange {
 // Storage is accessed exclusively through raw views (`encoded_view_`,
 // `offsets_view_`) so the same read path serves two backings:
 //   * owned — the vectors below, filled by the constructors / GraphEncoder;
-//   * external — a read-only region owned by someone else (an mmap'd world
-//     file from io::OpenMappedGraph), kept alive by `backing_` and shared
-//     by every copy of the Graph.
+//   * external — a read-only region owned by someone else (a world file
+//     mapped by io::LoadWorld), kept alive by `backing_` and shared by
+//     every copy of the Graph.
 // Copies of an owned graph deep-copy the vectors and re-point the views;
 // copies of a mapped graph just bump the backing refcount, so cloning a
 // 10M-peer world does not duplicate its adjacency.
@@ -183,8 +183,9 @@ class Graph {
   // Externally backed graph over an already-encoded CSR (the mmap loader).
   // `offsets` must have num_nodes+1 entries and `encoded` must hold
   // offsets[num_nodes] bytes; both must stay valid for as long as `backing`
-  // is alive. No validation beyond size checks — the io layer verifies the
-  // file digest/format before handing the region over.
+  // is alive. Nothing is checked here: io::LoadWorld validates the whole
+  // CSR (ranges, varints, ids, symmetry, header counts) before handing the
+  // region over.
   Graph(size_t num_nodes, size_t num_edges, uint32_t min_degree,
         uint32_t max_degree, const uint8_t* encoded, const uint32_t* offsets,
         std::shared_ptr<const void> backing);

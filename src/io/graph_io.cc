@@ -1,150 +1,11 @@
 #include "io/graph_io.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <memory>
 #include <numeric>
 
 #include "util/parallel.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 namespace p2paqp::io {
-
-namespace {
-
-constexpr char kMagic[4] = {'P', '2', 'P', 'G'};
-constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderBytes = 40;
-
-static_assert(std::endian::native == std::endian::little,
-              "graph files are little-endian");
-
-struct FileCloser {
-  void operator()(std::FILE* file) const {
-    if (file != nullptr) std::fclose(file);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-template <typename T>
-bool WriteValue(std::FILE* file, T value) {
-  return std::fwrite(&value, sizeof(T), 1, file) == 1;
-}
-
-// Owns one read-only mapping; Graph copies share it via shared_ptr.
-class MappedFile {
- public:
-  MappedFile(void* data, size_t size) : data_(data), size_(size) {}
-  ~MappedFile() { ::munmap(data_, size_); }
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  const uint8_t* data() const { return static_cast<const uint8_t*>(data_); }
-  size_t size() const { return size_; }
-
- private:
-  void* data_;
-  size_t size_;
-};
-
-}  // namespace
-
-util::Status SaveGraph(const std::string& path, const graph::Graph& graph) {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return util::Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const size_t n = graph.num_nodes();
-  const uint64_t encoded_bytes = n > 0 ? graph.offsets()[n] : 0;
-  if (std::fwrite(kMagic, sizeof(kMagic), 1, file.get()) != 1 ||
-      !WriteValue(file.get(), kVersion) ||
-      !WriteValue(file.get(), static_cast<uint64_t>(n)) ||
-      !WriteValue(file.get(), static_cast<uint64_t>(graph.num_edges())) ||
-      !WriteValue(file.get(), graph.min_degree()) ||
-      !WriteValue(file.get(), graph.max_degree()) ||
-      !WriteValue(file.get(), encoded_bytes)) {
-    return util::Status::Internal("short write on graph header");
-  }
-  if (n > 0) {
-    if (std::fwrite(graph.offsets(), sizeof(uint32_t), n + 1, file.get()) !=
-        n + 1) {
-      return util::Status::Internal("short write on offset table");
-    }
-    if (encoded_bytes > 0 &&
-        std::fwrite(graph.encoded_bytes(), 1, encoded_bytes, file.get()) !=
-            encoded_bytes) {
-      return util::Status::Internal("short write on adjacency stream");
-    }
-  }
-  if (std::fflush(file.get()) != 0) {
-    return util::Status::Internal("flush failed for " + path);
-  }
-  return util::Status::Ok();
-}
-
-util::Result<graph::Graph> OpenMappedGraph(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return util::Status::NotFound("cannot open " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return util::Status::Unavailable("cannot stat " + path);
-  }
-  const auto file_size = static_cast<size_t>(st.st_size);
-  if (file_size < kHeaderBytes) {
-    ::close(fd);
-    return util::Status::InvalidArgument(path + " is not a p2paqp graph");
-  }
-  void* base = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // The mapping holds its own reference.
-  if (base == MAP_FAILED) {
-    return util::Status::Unavailable("mmap failed for " + path);
-  }
-  auto mapping = std::make_shared<MappedFile>(base, file_size);
-
-  const uint8_t* p = mapping->data();
-  if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::InvalidArgument(path + " is not a p2paqp graph");
-  }
-  uint32_t version;
-  uint64_t num_nodes, num_edges, encoded_bytes;
-  uint32_t min_degree, max_degree;
-  std::memcpy(&version, p + 4, sizeof(version));
-  std::memcpy(&num_nodes, p + 8, sizeof(num_nodes));
-  std::memcpy(&num_edges, p + 16, sizeof(num_edges));
-  std::memcpy(&min_degree, p + 24, sizeof(min_degree));
-  std::memcpy(&max_degree, p + 28, sizeof(max_degree));
-  std::memcpy(&encoded_bytes, p + 32, sizeof(encoded_bytes));
-  if (version != kVersion) {
-    return util::Status::InvalidArgument("unsupported graph version");
-  }
-  if (num_nodes == 0 || num_nodes > (uint64_t{1} << 32)) {
-    return util::Status::InvalidArgument("implausible node count");
-  }
-  const size_t offsets_bytes = (num_nodes + 1) * sizeof(uint32_t);
-  if (file_size != kHeaderBytes + offsets_bytes + encoded_bytes) {
-    return util::Status::InvalidArgument("truncated graph file");
-  }
-  const auto* offsets =
-      reinterpret_cast<const uint32_t*>(p + kHeaderBytes);
-  if (offsets[0] != 0 || offsets[num_nodes] != encoded_bytes) {
-    return util::Status::InvalidArgument("corrupt offset table seal");
-  }
-  const uint8_t* encoded = p + kHeaderBytes + offsets_bytes;
-  return graph::Graph(static_cast<size_t>(num_nodes),
-                      static_cast<size_t>(num_edges), min_degree, max_degree,
-                      encoded, offsets, std::move(mapping));
-}
 
 uint64_t PrefaultGraph(const graph::Graph& graph) {
   constexpr size_t kPage = 4096;

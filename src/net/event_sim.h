@@ -42,9 +42,9 @@
 // pop order, and anything a step schedules carries a later sequence than
 // every member of its batch — so RunSteps(args, n) is observationally
 // identical to n sequential RunOne calls. See bench/micro_benchmarks.cc
-// (BM_EventQueue* vs BM_EventQueueLegacy*) for the throughput comparison
-// against the previous std::priority_queue implementation, and
-// docs/PERFORMANCE.md for the sharding and batching design.
+// (BM_EventQueue*) for throughput, and docs/PERFORMANCE.md for the sharding
+// and batching design and the measured gain over the previous
+// std::priority_queue implementation.
 #ifndef P2PAQP_NET_EVENT_SIM_H_
 #define P2PAQP_NET_EVENT_SIM_H_
 

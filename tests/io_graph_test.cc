@@ -1,9 +1,10 @@
-// Persisted-CSR round-trip and out-of-core builder coverage.
+// World-file CSR round-trip and out-of-core builder coverage.
 //
 // The contracts under test:
-//   * SaveGraph + OpenMappedGraph reproduce a built graph bit for bit —
-//     same edge digest, same adjacency, same header stats — with the mapped
-//     Graph reading straight out of the file mapping (is_mapped());
+//   * a graph saved in a world file (io::SaveWorld) and mapped back by
+//     io::LoadWorld is the built graph bit for bit — same edge digest, same
+//     adjacency bytes, same header stats — read straight out of the file
+//     mapping (is_mapped()), with copies sharing that mapping;
 //   * the spilling GraphBuilder (P2PAQP_BUILD_SPILL_EDGES) produces a graph
 //     byte-identical to the in-memory counting-sort path, including through
 //     multi-pass merges (fan-in smaller than the run count);
@@ -16,13 +17,13 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "io/graph_io.h"
+#include "io/world_io.h"
+#include "net/network.h"
 #include "topology/random.h"
 #include "util/rng.h"
 
@@ -62,84 +63,61 @@ graph::Graph BuildTestGraph() {
   return std::move(*g);
 }
 
-TEST(GraphIo, RoundTripPreservesGoldenDigest) {
+// Saves `graph` as a data-less world and returns the graph LoadWorld maps
+// back. The file is unlinked at once; the returned graph keeps its mapping.
+graph::Graph MapThroughWorldFile(const graph::Graph& graph, const char* name) {
+  const std::string path = TempPath(name);
+  auto network =
+      net::SimulatedNetwork::Make(graph, {}, net::NetworkParams{}, 1);
+  P2PAQP_CHECK(network.ok());
+  P2PAQP_CHECK(io::SaveWorld(path, *network).ok());
+  auto loaded = io::LoadWorld(path, net::NetworkParams{}, 1);
+  std::remove(path.c_str());
+  P2PAQP_CHECK(loaded.ok()) << loaded.status().ToString();
+  return loaded->graph();
+}
+
+TEST(GraphIo, WorldRoundTripPreservesGoldenDigest) {
   graph::Graph built = BuildTestGraph();
   // The ErdosRenyi(2000, 6000, seed 1234) golden from
   // tests/topology_golden_test.cc: the round trip must preserve it.
   ASSERT_EQ(EdgeDigest(built), 0xDDA47CFC74133F3DULL);
 
-  const std::string path = TempPath("round_trip.p2pg");
-  auto saved = io::SaveGraph(path, built);
-  ASSERT_TRUE(saved.ok()) << saved.ToString();
-
-  auto mapped = io::OpenMappedGraph(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->is_mapped());
+  graph::Graph mapped = MapThroughWorldFile(built, "round_trip.p2pw");
+  EXPECT_TRUE(mapped.is_mapped());
   EXPECT_FALSE(built.is_mapped());
-  EXPECT_EQ(mapped->num_nodes(), built.num_nodes());
-  EXPECT_EQ(mapped->num_edges(), built.num_edges());
-  EXPECT_EQ(mapped->min_degree(), built.min_degree());
-  EXPECT_EQ(mapped->max_degree(), built.max_degree());
-  EXPECT_EQ(EdgeDigest(*mapped), EdgeDigest(built));
+  EXPECT_EQ(mapped.num_nodes(), built.num_nodes());
+  EXPECT_EQ(mapped.num_edges(), built.num_edges());
+  EXPECT_EQ(mapped.min_degree(), built.min_degree());
+  EXPECT_EQ(mapped.max_degree(), built.max_degree());
+  EXPECT_EQ(EdgeDigest(mapped), EdgeDigest(built));
 
-  // Full adjacency, not just the digest.
+  // The file holds the in-memory encoding byte for byte.
+  ASSERT_EQ(mapped.MemoryBytes(), built.MemoryBytes());
+  EXPECT_EQ(std::memcmp(mapped.encoded_bytes(), built.encoded_bytes(),
+                        built.offsets()[built.num_nodes()]),
+            0);
   std::vector<graph::NodeId> a, b;
   for (graph::NodeId u = 0; u < built.num_nodes(); ++u) {
     built.CopyNeighbors(u, &a);
-    mapped->CopyNeighbors(u, &b);
+    mapped.CopyNeighbors(u, &b);
     ASSERT_EQ(a, b) << "adjacency diverged at node " << u;
   }
-  std::remove(path.c_str());
 }
 
 TEST(GraphIo, CopiesOfMappedGraphShareTheMapping) {
   graph::Graph built = BuildTestGraph();
-  const std::string path = TempPath("shared_mapping.p2pg");
-  ASSERT_TRUE(io::SaveGraph(path, built).ok());
-  auto mapped = io::OpenMappedGraph(path);
-  ASSERT_TRUE(mapped.ok());
+  graph::Graph mapped = MapThroughWorldFile(built, "shared_mapping.p2pw");
 
-  graph::Graph copy = *mapped;  // Copy shares the mapping, no byte copy.
+  graph::Graph copy = mapped;  // Copy shares the mapping, no byte copy.
   EXPECT_TRUE(copy.is_mapped());
-  EXPECT_EQ(copy.encoded_bytes(), mapped->encoded_bytes());
-  EXPECT_EQ(copy.offsets(), mapped->offsets());
+  EXPECT_EQ(copy.encoded_bytes(), mapped.encoded_bytes());
+  EXPECT_EQ(copy.offsets(), mapped.offsets());
   EXPECT_EQ(EdgeDigest(copy), EdgeDigest(built));
 
-  graph::Graph moved = std::move(*mapped);  // Move keeps the views valid.
+  graph::Graph moved = std::move(mapped);  // Move keeps the views valid.
   EXPECT_TRUE(moved.is_mapped());
   EXPECT_EQ(EdgeDigest(moved), EdgeDigest(built));
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, RejectsMissingTruncatedAndForeignFiles) {
-  EXPECT_FALSE(io::OpenMappedGraph(TempPath("does_not_exist.p2pg")).ok());
-
-  // A foreign file: right size ballpark, wrong magic.
-  const std::string foreign = TempPath("foreign.p2pg");
-  {
-    std::FILE* f = std::fopen(foreign.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::vector<uint8_t> junk(128, 0x5A);
-    std::fwrite(junk.data(), 1, junk.size(), f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(io::OpenMappedGraph(foreign).ok());
-  std::remove(foreign.c_str());
-
-  // A truncated save: header intact, stream cut short.
-  graph::Graph built = BuildTestGraph();
-  const std::string truncated = TempPath("truncated.p2pg");
-  ASSERT_TRUE(io::SaveGraph(truncated, built).ok());
-  {
-    std::FILE* f = std::fopen(truncated.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(::truncate(truncated.c_str(), size - 100), 0);
-  }
-  EXPECT_FALSE(io::OpenMappedGraph(truncated).ok());
-  std::remove(truncated.c_str());
 }
 
 TEST(GraphIo, PrefaultChecksumIsDeterministicOwnedAndMapped) {
@@ -147,13 +125,9 @@ TEST(GraphIo, PrefaultChecksumIsDeterministicOwnedAndMapped) {
   const uint64_t owned_sum = io::PrefaultGraph(built);
   EXPECT_EQ(io::PrefaultGraph(built), owned_sum);
 
-  const std::string path = TempPath("prefault.p2pg");
-  ASSERT_TRUE(io::SaveGraph(path, built).ok());
-  auto mapped = io::OpenMappedGraph(path);
-  ASSERT_TRUE(mapped.ok());
+  graph::Graph mapped = MapThroughWorldFile(built, "prefault.p2pw");
   // Same bytes, same pages, same checksum.
-  EXPECT_EQ(io::PrefaultGraph(*mapped), owned_sum);
-  std::remove(path.c_str());
+  EXPECT_EQ(io::PrefaultGraph(mapped), owned_sum);
 }
 
 // The spilling builder must be byte-identical to the in-memory path. This
