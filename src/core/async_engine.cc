@@ -381,26 +381,17 @@ class PhaseRuntime final : public net::StepHandler {
   // is lost. `extra_reply_delay_ms` is the tardy inbound token transit: the
   // peer cannot scan before the token reaches it.
   void SelectPeer(graph::NodeId peer, double extra_reply_delay_ms = 0.0) {
-    query::LocalAggregate aggregate = query::ExecuteLocal(
-        network_->peer(peer).database(), query_,
-        query::SubSamplePolicy{.t = params_.engine.tuples_per_peer,
-                               .mode = params_.engine.subsample_mode,
-                               .block_size = params_.engine.block_size},
-        rng_, &buf_.exec);
-    network_->cost().RecordPeerVisit();
-    network_->cost().RecordTuplesScanned(aggregate.processed_tuples);
-    network_->cost().RecordTuplesSampled(aggregate.processed_tuples);
-    double scan_ms =
-        network_->LocalScanLatency(peer, aggregate.processed_tuples);
     PeerObservation obs;
     obs.peer = peer;
     obs.degree = network_->AliveDegree(peer);
     obs.stationary_weight = static_cast<double>(obs.degree);
-    obs.aggregate = aggregate;
     obs.selection_seq = selections++;
-    // Adversarial tampering happens at the sender: misreported degree,
-    // corrupted aggregates, and possibly replayed duplicate copies.
-    size_t replays = TamperObservation(network_->adversary(), &obs);
+    size_t replays = ScanSelectedPeer(network_, params_.engine,
+                                      /*cache=*/nullptr, query_,
+                                      /*charge_scan_latency=*/false, rng_,
+                                      &buf_.exec, &obs);
+    double scan_ms =
+        network_->LocalScanLatency(peer, obs.aggregate.processed_tuples);
     const net::StragglerPolicy& sp = params_.engine.straggler;
     double delay = scan_ms + extra_reply_delay_ms;
     bool delivered = false;
@@ -595,7 +586,7 @@ AsyncQuerySession::AsyncQuerySession(net::SimulatedNetwork* network,
       << "async session supports the simple walk only";
 }
 
-util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
+std::vector<PeerObservation> AsyncQuerySession::RunPhase(
     net::EventQueue& events, const query::AggregateQuery& query,
     graph::NodeId sink, size_t count, util::Rng& rng,
     TwoPhaseEngine::CollectionStats* stats, uint64_t* drain_allocs,
@@ -657,34 +648,18 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   events.RunUntilEmpty();
   if (drain_allocs != nullptr) *drain_allocs += alloc_guard.allocations();
 
-  if (elapsed_ms != nullptr) {
-    // A deadline-curtailed phase answers exactly when its budget runs out;
-    // otherwise the clock stops at the last needed arrival, not at the
-    // post-answer drain of losing duplicate copies.
-    *elapsed_ms = runtime.deadline_hit
-                      ? deadline_ms
-                      : std::max(runtime.done_ms, phase_start) - phase_start;
-  }
-
-  const size_t delivered = observations.size();
-  // A deadline-curtailed phase waives the quorum: the caller returns an
-  // anytime answer with a widened CI instead of failing the query.
-  if (!runtime.deadline_hit) {
-    util::Status quorum = CheckObservationQuorum(
-        delivered, count, params_.engine.min_observation_quorum);
-    if (!quorum.ok()) return quorum;
-  }
-  if (stats != nullptr) {
-    stats->requested = count;
-    stats->delivered = delivered;
-    stats->lost = count - delivered;
-    stats->reply_retransmits = runtime.retransmits;
-    stats->walk_restarts = runtime.restarts;
-    stats->duplicate_replies = runtime.duplicates;
-    stats->hedges = runtime.hedges;
-    stats->straggler_skips = runtime.straggler_skips;
-    stats->deadline_hit = runtime.deadline_hit;
-  }
+  // A deadline-curtailed phase answers exactly when its budget runs out;
+  // otherwise the clock stops at the last needed arrival, not at the
+  // post-answer drain of losing duplicate copies.
+  *elapsed_ms = runtime.deadline_hit
+                    ? deadline_ms
+                    : std::max(runtime.done_ms, phase_start) - phase_start;
+  stats->reply_retransmits = runtime.retransmits;
+  stats->walk_restarts = runtime.restarts;
+  stats->duplicate_replies = runtime.duplicates;
+  stats->hedges = runtime.hedges;
+  stats->straggler_skips = runtime.straggler_skips;
+  stats->deadline_hit = runtime.deadline_hit;
   return observations;
 }
 
@@ -707,8 +682,6 @@ util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
       params_.engine.deadline_ms > 0.0
           ? params_.engine.deadline_ms
           : std::numeric_limits<double>::infinity();
-  // Retry/hedge allowance is query-scoped: both phases draw from one pot.
-  size_t retry_budget = sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
   if (sp.health_tracking) {
     // Reset allocates (flat per-peer arrays), so it happens here — per
     // query, before any phase drains — keeping Record()/Tripped() free
@@ -717,50 +690,35 @@ util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
     buffers_.health.Reset(network_->num_peers());
   }
 
-  // ---- Phase I ----
-  TwoPhaseEngine::CollectionStats phase1_stats;
+  // Each phase drains on the query's event clock, under whatever deadline
+  // budget the phases before it left over.
   double phase1_elapsed = 0.0;
   double phase2_elapsed = 0.0;
-  auto phase1 = RunPhase(events, query, sink, params_.engine.phase1_peers,
-                         rng, &phase1_stats, &drain_allocs, deadline,
-                         &retry_budget, &phase1_elapsed);
-  if (!phase1.ok()) return phase1.status();
-
-  const double total_weight = catalog_.total_degree_weight();
-  TwoPhaseEngine::CollectionStats phase2_stats;
-  std::vector<PeerObservation> phase2_set;
-  PhaseTwoPlan plan;
-  auto planned = PlanPhaseTwo(*phase1, query, params_.engine, total_weight,
-                              network_->num_peers(), rng);
-  if (planned.ok()) {
-    plan = *planned;
-    // ---- Phase II ----
-    if (phase1_elapsed >= deadline) {
-      // Phase I consumed the whole deadline: phase II never launches and
-      // its entire request counts as lost.
-      phase2_stats.requested = plan.peers;
-      phase2_stats.lost = plan.peers;
-      phase2_stats.deadline_hit = true;
-    } else {
-      // Phase II inherits whatever deadline budget phase I left over.
-      const double remaining = std::isfinite(deadline)
-                                   ? deadline - phase1_elapsed
-                                   : deadline;
-      auto phase2 = RunPhase(events, query, sink, plan.peers, rng,
-                             &phase2_stats, &drain_allocs, remaining,
-                             &retry_budget, &phase2_elapsed);
-      if (!phase2.ok()) return phase2.status();
-      phase2_set = std::move(*phase2);
+  auto collect = [&](Phase phase, auto queries, const auto& requests,
+                     size_t* retry_budget, auto& out) {
+    PhaseCollection& collected = out.front();
+    double budget = deadline;
+    double* elapsed = &phase1_elapsed;
+    if (phase == Phase::kTwo) {
+      if (phase1_elapsed >= deadline) {
+        // Phase I consumed the whole deadline: phase II never launches and
+        // its entire request counts as lost.
+        collected.stats.deadline_hit = true;
+        return;
+      }
+      if (std::isfinite(deadline)) budget = deadline - phase1_elapsed;
+      elapsed = &phase2_elapsed;
     }
-  } else if (!phase1_stats.deadline_hit) {
-    return planned.status();
-  }
-  // (Fewer than 2 phase-I observations under a deadline: no plan; the
-  // answer is the anytime one over whatever phase I scraped together.)
-
-  auto answer = BuildAnswer(network_, params_.engine, query.op, sink,
-                            total_weight, plan, *phase1, phase1_stats,
-                            phase2_set, phase2_stats, rng);
+    collected.observations =
+        RunPhase(events, queries[requests.front().query], sink,
+                 requests.front().count, rng, &collected.stats, &drain_allocs,
+                 budget, retry_budget, elapsed);
+  };
+  util::Result<ApproximateAnswer> answer = std::move(
+      RunTwoPhasePlan(collect, network_, params_.engine,
+                      catalog_.total_degree_weight(), sink, {&query, 1}, {},
+                      rng)
+          .front());
   if (!answer.ok()) return answer.status();
   AsyncQueryReport report;
   report.answer = std::move(*answer);

@@ -6,10 +6,9 @@
 // a selected peer scans its table while the walker already moved on, and the
 // (y(p), deg(p)) replies race back to the sink over direct IP. The
 // AsyncQuerySession replays exactly the same statistical plan (same sampler
-// semantics; phase II sized and the answer built by the shared
-// PlanPhaseTwo/BuildAnswer steps of two_phase.h) on a discrete-event clock,
-// so the reported makespan is the true end-to-end latency the paper's cost
-// model cares about (Sec. 3.2).
+// semantics, same RunTwoPhasePlan driver) with a collector that drains each
+// phase on a discrete-event clock, so the reported makespan is the true
+// end-to-end latency the paper's cost model cares about (Sec. 3.2).
 #ifndef P2PAQP_CORE_ASYNC_ENGINE_H_
 #define P2PAQP_CORE_ASYNC_ENGINE_H_
 
@@ -112,15 +111,14 @@ class AsyncQuerySession {
   // collected observations and completes when the last reply arrives.
   // Fault-tolerant like TwoPhaseEngine::CollectObservations: lost walker
   // tokens are re-issued by the sink with a fresh burn-in, lost replies are
-  // retransmitted, and residual losses are reported through `stats` —
-  // hard-failing only below engine.min_observation_quorum. Allocations made
-  // while the event loop drains are added to `*drain_allocs`.
+  // retransmitted, and residual losses are left to the driver's quorum
+  // rule. Fills the counters of `stats`; allocations made while the event
+  // loop drains are added to `*drain_allocs`.
   //
   // `deadline_ms` is the query deadline budget REMAINING at phase start
   // (+inf = none): walker steps at or past it stop scheduling work, replies
-  // arriving strictly after it are discarded as lost, and the quorum
-  // hard-fail is waived so the caller can return a deadline-degraded
-  // anytime answer. `retry_budget` is the query-scoped straggler
+  // arriving strictly after it are discarded as lost, and deadline_hit
+  // waives the quorum for an anytime answer. `retry_budget` is the query's
   // retry/hedge allowance shared by both phases (SIZE_MAX = unlimited).
   //
   // `*elapsed_ms` receives the phase's wall clock: from phase start to the
@@ -129,7 +127,7 @@ class AsyncQuerySession {
   // deduped replays resolve after the answer is ready so the ledger and the
   // reply arena balance — but that drain is bookkeeping, not waiting, and
   // never counts toward latency.
-  util::Result<std::vector<PeerObservation>> RunPhase(
+  std::vector<PeerObservation> RunPhase(
       net::EventQueue& events, const query::AggregateQuery& query,
       graph::NodeId sink, size_t count, util::Rng& rng,
       TwoPhaseEngine::CollectionStats* stats, uint64_t* drain_allocs,

@@ -3,26 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "query/local_executor.h"
 #include "util/bug_injection.h"
 
 namespace p2paqp::core {
-
-struct QueryScheduler::QueryState {
-  const query::AggregateQuery* query = nullptr;
-  std::vector<PeerObservation> phase1;
-  std::vector<PeerObservation> phase2;
-  TwoPhaseEngine::CollectionStats s1;
-  TwoPhaseEngine::CollectionStats s2;
-  PhaseTwoPlan plan;
-  bool failed = false;
-  util::Status failure = util::Status::Ok();
-
-  void Fail(util::Status why) {
-    failed = true;
-    failure = std::move(why);
-  }
-};
 
 QueryScheduler::QueryScheduler(net::SimulatedNetwork* network,
                                const SystemCatalog& catalog,
@@ -58,7 +41,8 @@ void QueryScheduler::BeginBatchFrame(SampleFrameStats* stats) {
 
 util::Status QueryScheduler::EnsureFrame(size_t needed, graph::NodeId sink,
                                          uint32_t batch, util::Rng& rng,
-                                         SampleFrameStats* stats) {
+                                         SampleFrameStats* stats,
+                                         sampling::WalkStats* walk_stats) {
   if (frame_.selections.empty()) frame_.epoch = cache_->epoch();
   size_t have = frame_.selections.size();
   // Hits are carried-over selections only; `stats` accumulates across the
@@ -90,6 +74,7 @@ util::Status QueryScheduler::EnsureFrame(size_t needed, graph::NodeId sink,
   for (const sampling::PeerVisit& visit : outcome->visits) {
     frame_.selections.push_back(visit);
   }
+  *walk_stats = outcome->stats;
   size_t appended = outcome->visits.size();
   stats->frame_misses += appended;
   lifetime_frame_.frame_misses += appended;
@@ -98,34 +83,45 @@ util::Status QueryScheduler::EnsureFrame(size_t needed, graph::NodeId sink,
   return util::Status::Ok();
 }
 
-void QueryScheduler::CollectRange(std::vector<QueryState>& states,
-                                  size_t first, size_t last,
-                                  graph::NodeId sink, bool phase2,
-                                  util::Rng& rng) {
-  net::AdversaryInjector* adversary = network_->adversary();
-  const size_t retransmits = params_.engine.reply_retransmits;
-  std::vector<size_t> active;
-  std::vector<PeerObservation> pending;
-  for (size_t idx = first; idx < last && idx < frame_.selections.size();
-       ++idx) {
+void QueryScheduler::CollectFromFrame(
+    Phase phase, std::span<const query::AggregateQuery> queries,
+    const std::vector<PhaseRequest>& requests, size_t* retry_budget,
+    std::vector<PhaseCollection>& out, graph::NodeId sink, util::Rng& rng,
+    SampleFrameStats* frame_stats) {
+  const size_t first = phase == Phase::kOne ? 0 : params_.engine.phase1_peers;
+  size_t widest = 0;
+  for (const PhaseRequest& r : requests) widest = std::max(widest, r.count);
+  if (widest == 0) return;
+  // One shared top-up sized by the largest request; its walk served every
+  // request, so each reports its restarts and skips.
+  sampling::WalkStats walk;
+  util::Status framed =
+      EnsureFrame(first + widest, sink, static_cast<uint32_t>(requests.size()),
+                  rng, frame_stats, &walk);
+  for (PhaseCollection& c : out) {
+    c.status = framed;
+    c.stats.walk_restarts = walk.restarts;
+    c.stats.straggler_skips = walk.straggler_skips;
+  }
+  if (!framed.ok()) return;
+
+  net::HistoryRecorder* history = network_->history();
+  const uint64_t dedup_round = history != nullptr ? history->NextRound() : 0;
+  std::vector<size_t> riders;
+  std::vector<PeerObservation> bodies;
+  for (size_t idx = first;
+       idx < first + widest && idx < frame_.selections.size(); ++idx) {
     const sampling::PeerVisit& visit = frame_.selections[idx];
-    size_t offset = idx - first;
-    active.clear();
-    for (size_t q = 0; q < states.size(); ++q) {
-      if (states[q].failed) continue;
-      if (phase2 && offset >= states[q].plan.peers) continue;
-      active.push_back(q);
+    riders.clear();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (idx - first < requests[i].count) riders.push_back(i);
     }
-    if (active.empty()) break;  // Offsets only grow; nobody needs the rest.
     // A frame peer may have departed since selection (or between batches):
     // every query multiplexed on this visit loses the observation.
     if (!network_->IsAlive(visit.peer)) continue;
-    const auto batch_width = static_cast<uint32_t>(active.size());
-    // Per-query local execution, answered from the shared FreshnessCache
-    // when the (peer, query-signature) pair was computed recently.
-    pending.clear();
-    for (size_t q : active) {
-      QueryState& state = states[q];
+    bodies.clear();
+    size_t replays = 0;
+    for (size_t i : riders) {
       PeerObservation obs;
       obs.peer = visit.peer;
       obs.degree = visit.degree;
@@ -133,66 +129,24 @@ void QueryScheduler::CollectRange(std::vector<QueryState>& states,
       // keep their selection-time degree so prob(p) matches the draw.
       obs.stationary_weight = static_cast<double>(visit.degree);
       obs.selection_seq = idx;
-      bool from_cache =
-          cache_->Lookup(visit.peer, *state.query, &obs.aggregate);
-      if (from_cache) {
-        // The visit happened but the peer answers from cache: no local scan.
-        network_->cost().RecordPeerVisit();
-      } else {
-        obs.aggregate = query::ExecuteLocal(
-            network_->peer(visit.peer).database(), *state.query,
-            query::SubSamplePolicy{.t = params_.engine.tuples_per_peer,
-                                   .mode = params_.engine.subsample_mode,
-                                   .block_size = params_.engine.block_size},
-            rng);
-        network_->RecordLocalExecution(visit.peer,
-                                       obs.aggregate.processed_tuples,
-                                       obs.aggregate.processed_tuples);
-        cache_->Store(visit.peer, *state.query, obs.aggregate);
-      }
-      // Degree/value lies follow the batched reply exactly as they follow
-      // the per-query one; replayed duplicates are dropped by the sink's
-      // (query, peer, seq) tag dedup and only waste adversary bandwidth, so
-      // they are not modeled on this path.
-      TamperObservation(adversary, &obs);
-      pending.push_back(obs);
+      // The peer replays its one wire reply whole, not body by body.
+      replays = std::max(
+          replays, ScanSelectedPeer(network_, params_.engine, cache_,
+                                    queries[requests[i].query],
+                                    /*charge_scan_latency=*/true, rng,
+                                    /*scratch=*/nullptr, &obs));
+      bodies.push_back(obs);
     }
-    // One batched reply carries every multiplexed query's (y(p), deg(p))
-    // body behind a single shared header. Lost in transit = lost for all of
-    // them; retransmitted after a sink-side timeout like the engine's.
-    bool delivered = false;
-    for (size_t attempt = 0; attempt <= retransmits; ++attempt) {
-      if (attempt > 0) {
-        for (size_t q : active) {
-          TwoPhaseEngine::CollectionStats& s =
-              phase2 ? states[q].s2 : states[q].s1;
-          ++s.reply_retransmits;
-        }
-        // One timeout/retransmit pair per wire message, not per
-        // multiplexed query: the batched reply is lost (and re-sent)
-        // whole.
-        if (net::HistoryRecorder* history = network_->history()) {
-          history->Record(net::HistoryEventKind::kTimeout,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          batch_width);
-          history->Record(net::HistoryEventKind::kRetransmit,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          batch_width);
-        }
-      }
-      util::Status sent =
-          network_->SendDirect(net::MessageType::kAggregateReply, visit.peer,
-                               sink, /*extra_payload_bytes=*/0, batch_width);
-      if (sent.ok()) {
-        delivered = true;
-        break;
-      }
-      if (!network_->IsAlive(visit.peer) || !network_->IsAlive(sink)) break;
-    }
-    if (!delivered) continue;
-    for (size_t i = 0; i < active.size(); ++i) {
-      QueryState& state = states[active[i]];
-      (phase2 ? state.phase2 : state.phase1).push_back(pending[i]);
+    ReplyOutcome reply = SendReply(
+        network_, params_.engine, /*health=*/nullptr, visit.peer, sink,
+        static_cast<uint32_t>(riders.size()), replays,
+        net::DedupTag(dedup_round, visit.peer, idx), retry_budget, rng);
+    for (size_t r = 0; r < riders.size(); ++r) {
+      PhaseCollection& c = out[riders[r]];
+      c.observations.insert(c.observations.end(), reply.accepted, bodies[r]);
+      c.stats.reply_retransmits += reply.retransmits;
+      c.stats.duplicate_replies += reply.duplicates;
+      c.stats.hedges += reply.hedges;
     }
   }
 }
@@ -201,113 +155,32 @@ BatchResult QueryScheduler::ExecuteBatch(
     const std::vector<query::AggregateQuery>& queries, graph::NodeId sink,
     util::Rng& rng) {
   BatchResult result;
-  result.answers.reserve(queries.size());
   net::CostSnapshot before = network_->cost_snapshot();
   if (!params_.reuse_frame) InvalidateFrame();
   BeginBatchFrame(&result.frame);
 
-  std::vector<QueryState> states(queries.size());
+  const bool sink_ok =
+      sink < network_->num_peers() && network_->IsAlive(sink);
+  std::vector<util::Status> admitted(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    states[q].query = &queries[q];
     if (queries[q].op != query::AggregateOp::kCount &&
         queries[q].op != query::AggregateOp::kSum) {
-      states[q].Fail(util::Status::InvalidArgument(
-          "scheduler batches support COUNT and SUM only"));
+      admitted[q] = util::Status::InvalidArgument(
+          "scheduler batches support COUNT and SUM only");
+    } else if (!sink_ok) {
+      admitted[q] = util::Status::FailedPrecondition("sink peer is not live");
     }
   }
-  bool sink_ok =
-      sink < network_->num_peers() && network_->IsAlive(sink);
-  if (!sink_ok) {
-    for (QueryState& state : states) {
-      if (!state.failed) {
-        state.Fail(util::Status::FailedPrecondition("sink peer is not live"));
-      }
-    }
-  }
-
-  const size_t m = params_.engine.phase1_peers;
-  const double quorum_fraction = params_.engine.min_observation_quorum;
-  size_t live = 0;
-  for (const QueryState& state : states) live += state.failed ? 0 : 1;
-
-  if (live > 0) {
-    // ---- Phase I over the shared frame prefix [0, m). ----
-    util::Status framed = EnsureFrame(m, sink, static_cast<uint32_t>(live),
-                                      rng, &result.frame);
-    if (!framed.ok()) {
-      for (QueryState& state : states) {
-        if (!state.failed) state.Fail(framed);
-      }
-    } else {
-      for (QueryState& state : states) {
-        if (!state.failed) state.s1.requested = m;
-      }
-      CollectRange(states, 0, m, sink, /*phase2=*/false, rng);
-      for (QueryState& state : states) {
-        if (state.failed) continue;
-        state.s1.delivered = state.phase1.size();
-        state.s1.lost = state.s1.requested - state.s1.delivered;
-        util::Status quorum = CheckObservationQuorum(
-            state.s1.delivered, state.s1.requested, quorum_fraction);
-        if (!quorum.ok()) state.Fail(std::move(quorum));
-      }
-    }
-  }
-
-  // ---- Per-query cross-validation sizing (paper Sec. 3.4). ----
-  size_t widest_plan = 0;
-  for (QueryState& state : states) {
-    if (state.failed) continue;
-    auto plan = PlanPhaseTwo(state.phase1, *state.query, params_.engine,
-                             total_weight_, network_->num_peers(), rng);
-    if (!plan.ok()) {
-      state.Fail(plan.status());
-      continue;
-    }
-    state.plan = *plan;
-    widest_plan = std::max(widest_plan, state.plan.peers);
-  }
-
-  if (widest_plan > 0) {
-    // ---- Phase II over frame slots [m, m + widest_plan): one shared
-    // top-up sized by the largest plan; each query consumes its prefix. ----
-    size_t live2 = 0;
-    for (const QueryState& state : states) live2 += state.failed ? 0 : 1;
-    util::Status framed =
-        EnsureFrame(m + widest_plan, sink, static_cast<uint32_t>(live2), rng,
-                    &result.frame);
-    if (!framed.ok()) {
-      for (QueryState& state : states) {
-        if (!state.failed) state.Fail(framed);
-      }
-    } else {
-      for (QueryState& state : states) {
-        if (!state.failed) state.s2.requested = state.plan.peers;
-      }
-      CollectRange(states, m, m + widest_plan, sink, /*phase2=*/true, rng);
-      for (QueryState& state : states) {
-        if (state.failed) continue;
-        state.s2.delivered = state.phase2.size();
-        state.s2.lost = state.s2.requested - state.s2.delivered;
-        util::Status quorum = CheckObservationQuorum(
-            state.s2.delivered, state.s2.requested, quorum_fraction);
-        if (!quorum.ok()) state.Fail(std::move(quorum));
-      }
-    }
-  }
-  // ---- Per-query answers, in batch order. ----
-  for (QueryState& state : states) {
-    if (state.failed) {
-      result.answers.emplace_back(state.failure);
-      continue;
-    }
-    // Per-query cost stays zero: the batched walk/reply work is shared and
-    // indivisible. BatchResult::cost carries the whole batch.
-    result.answers.push_back(BuildAnswer(
-        network_, params_.engine, state.query->op, sink, total_weight_,
-        state.plan, state.phase1, state.s1, state.phase2, state.s2, rng));
-  }
-
+  auto collect = [&](Phase phase, auto queries, const auto& requests,
+                     size_t* retry_budget, auto& out) {
+    CollectFromFrame(phase, queries, requests, retry_budget, out, sink, rng,
+                     &result.frame);
+  };
+  // Per-query cost stays zero: the batched walk/reply work is shared and
+  // indivisible. BatchResult::cost carries the whole batch.
+  result.answers = RunTwoPhasePlan(collect, network_, params_.engine,
+                                   total_weight_, sink, queries,
+                                   std::move(admitted), rng);
   result.cost = net::CostDelta(network_->cost_snapshot(), before);
   return result;
 }

@@ -15,7 +15,10 @@
 //      pays for the missing selections.
 //   2. Walker batching. The top-up walker token carries all K query bodies
 //      behind one shared Gnutella header, so one hop serves K queries
-//      (messages-per-query drops ~K x); replies are batched the same way.
+//      (messages-per-query drops ~K x); replies are batched the same way,
+//      and a batched reply is retransmitted (with the policy's backoff),
+//      hedged, replayed and deduped as a whole, through the sync engine's
+//      SendReply.
 //   3. Shared local work. Per-visit local execution is routed through the
 //      FreshnessCache, so repeated query signatures across batches answer
 //      from cache with zero local I/O.
@@ -98,10 +101,12 @@ class QueryScheduler {
   QueryScheduler(net::SimulatedNetwork* network, const SystemCatalog& catalog,
                  const SchedulerParams& params, FreshnessCache* cache);
 
-  // Executes `queries` as one batch against `sink`: shared phase-I frame,
-  // per-query cross-validation sizing, shared phase-II top-up sized by the
-  // largest plan, per-query Horvitz-Thompson estimation. Queries must be
-  // kCount or kSum (the central estimation path).
+  // Executes `queries` as one batch against `sink` through RunTwoPhasePlan:
+  // shared phase-I frame, per-query cross-validation sizing, shared
+  // phase-II top-up sized by the largest plan, per-query Horvitz-Thompson
+  // estimation. Queries must be kCount or kSum (the central estimation
+  // path). A batched retry or hedge draws one unit from the retry budget of
+  // every query its reply carries.
   BatchResult ExecuteBatch(const std::vector<query::AggregateQuery>& queries,
                            graph::NodeId sink, util::Rng& rng);
 
@@ -127,9 +132,6 @@ class QueryScheduler {
     uint64_t epoch = 0;
   };
 
-  // Per-query in-flight state while a batch executes.
-  struct QueryState;
-
   // Expires the frame on epoch-TTL overrun and records the number of
   // carried-over selections; called once at the top of every batch so hit
   // accounting can tell carried selections from ones walked this batch.
@@ -137,15 +139,25 @@ class QueryScheduler {
 
   // Ensures the frame holds >= `needed` selections, topping up with a
   // batch-`batch` walk when short. Records hits (needed selections already
-  // present at batch start) and misses (fresh walks) into `stats`.
+  // present at batch start) and misses (fresh walks) into `stats`, and the
+  // top-up walk's recovery work into `walk_stats` (untouched without a
+  // top-up).
   util::Status EnsureFrame(size_t needed, graph::NodeId sink, uint32_t batch,
-                           util::Rng& rng, SampleFrameStats* stats);
+                           util::Rng& rng, SampleFrameStats* stats,
+                           sampling::WalkStats* walk_stats);
 
-  // Runs frame selections [first, last) for the still-live queries in
-  // `states` whose requested range covers the index: per-query local
-  // execution through the cache, one batched reply per visit.
-  void CollectRange(std::vector<QueryState>& states, size_t first, size_t last,
-                    graph::NodeId sink, bool phase2, util::Rng& rng);
+  // The batch's PhaseCollector: phase I reads frame slots [0, m), phase II
+  // [m, m + the widest m'), after one EnsureFrame. A query rides the visits
+  // up to its own request, scans through the cache, and shares each visit's
+  // one reply. Riders leave only once their request is met, so they have
+  // all ridden every earlier reply: the batch's one retry budget equals
+  // each rider's own.
+  void CollectFromFrame(Phase phase,
+                        std::span<const query::AggregateQuery> queries,
+                        const std::vector<PhaseRequest>& requests,
+                        size_t* retry_budget,
+                        std::vector<PhaseCollection>& out, graph::NodeId sink,
+                        util::Rng& rng, SampleFrameStats* frame_stats);
 
   net::SimulatedNetwork* network_;
   SystemCatalog catalog_;

@@ -93,8 +93,10 @@ std::vector<WeightedObservation> ToWeighted(
   return weighted;
 }
 
-}  // namespace
-
+// An installed adversary's reply tampering on one outgoing observation:
+// degree misreport (the shipped degree *and* the stationary weight the sink
+// divides by follow the lie) and aggregate corruption. Returns the replayed
+// copies the peer additionally pushes at the sink; 0 for honest peers.
 size_t TamperObservation(net::AdversaryInjector* adversary,
                          PeerObservation* obs) {
   if (adversary == nullptr || !adversary->IsAdversarial(obs->peer)) return 0;
@@ -114,6 +116,27 @@ size_t TamperObservation(net::AdversaryInjector* adversary,
   }
   return tampering.replays;
 }
+
+// A query's retry/hedge allowance: StragglerPolicy::retry_budget, or
+// unlimited (SIZE_MAX) when that is 0.
+size_t RetryAllowance(const net::StragglerPolicy& policy) {
+  return policy.retry_budget == 0 ? SIZE_MAX : policy.retry_budget;
+}
+
+// Completes a collection of `count` requested observations: fills requested,
+// delivered and lost, then applies the quorum rule, which a deadline-cut
+// collection waives (its query answers anytime, CI widened, instead of
+// failing).
+util::Status Settle(PhaseCollection& c, size_t count, double quorum) {
+  if (!c.status.ok()) return c.status;
+  c.stats.requested = count;
+  c.stats.delivered = c.observations.size();
+  c.stats.lost = count - c.stats.delivered;
+  if (c.stats.deadline_hit) return util::Status::Ok();
+  return CheckObservationQuorum(c.stats.delivered, count, quorum);
+}
+
+}  // namespace
 
 size_t AuditObservationDegrees(net::SimulatedNetwork* network,
                                const RobustnessPolicy& policy,
@@ -267,207 +290,195 @@ TwoPhaseEngine::TwoPhaseEngine(net::SimulatedNetwork* network,
   P2PAQP_CHECK_GE(params_.phase1_peers, 2u);
 }
 
+size_t ScanSelectedPeer(net::SimulatedNetwork* network,
+                        const EngineParams& params, LocalResultCache* cache,
+                        const query::AggregateQuery& query,
+                        bool charge_scan_latency, util::Rng& rng,
+                        query::LocalExecScratch* scratch,
+                        PeerObservation* obs) {
+  if (cache != nullptr && cache->Lookup(obs->peer, query, &obs->aggregate)) {
+    // The visit happened (walker hop costs are already charged) but the
+    // peer answers from its cache: no local scan.
+    network->cost().RecordPeerVisit();
+  } else {
+    const data::LocalDatabase& db = network->peer(obs->peer).database();
+    const query::SubSamplePolicy policy{.t = params.tuples_per_peer,
+                                        .mode = params.subsample_mode,
+                                        .block_size = params.block_size};
+    obs->aggregate =
+        scratch != nullptr
+            ? query::ExecuteLocal(db, query, policy, rng, scratch)
+            : query::ExecuteLocal(db, query, policy, rng);
+    const uint64_t tuples = obs->aggregate.processed_tuples;
+    if (charge_scan_latency) {
+      network->RecordLocalExecution(obs->peer, tuples, tuples);
+    } else {
+      network->cost().RecordPeerVisit();
+      network->cost().RecordTuplesScanned(tuples);
+      network->cost().RecordTuplesSampled(tuples);
+    }
+    if (cache != nullptr) cache->Store(obs->peer, query, obs->aggregate);
+  }
+  // An adversarial peer lies in the reply it is about to send: misreported
+  // degree (and with it the stationary weight the sink divides by),
+  // corrupted aggregates, and possibly replayed duplicate copies.
+  return TamperObservation(network->adversary(), obs);
+}
+
+ReplyOutcome SendReply(net::SimulatedNetwork* network,
+                       const EngineParams& params,
+                       net::PeerHealthBoard* health, graph::NodeId peer,
+                       graph::NodeId sink, uint32_t batch, size_t replays,
+                       uint64_t tag, size_t* retry_budget, util::Rng& rng) {
+  const net::StragglerPolicy& sp = params.straggler;
+  net::HistoryRecorder* history = network->history();
+  auto record = [&](net::HistoryEventKind kind, uint64_t record_tag = 0) {
+    if (history == nullptr) return;
+    history->Record(kind, net::MessageType::kAggregateReply, peer, sink,
+                    batch, record_tag);
+  };
+  auto consume_retry = [retry_budget]() {
+    if (*retry_budget == 0) return false;
+    if (*retry_budget != SIZE_MAX) --*retry_budget;
+    return true;
+  };
+  auto send = [&]() {
+    return network->SendDirect(net::MessageType::kAggregateReply, peer, sink,
+                               /*extra_payload_bytes=*/0, batch);
+  };
+  auto endpoints_alive = [&]() {
+    return network->IsAlive(peer) && network->IsAlive(sink);
+  };
+  ReplyOutcome out;
+  // A reply lost in transit is retransmitted after a sink-side timeout; a
+  // crashed endpoint cannot retry.
+  bool delivered = false;
+  for (size_t attempt = 0; attempt <= params.reply_retransmits; ++attempt) {
+    if (attempt > 0) {
+      if (!consume_retry()) break;
+      ++out.retransmits;
+      // The sink's timer fires, then the retry waits out the fixed timer or
+      // jittered backoff, charged to the ledger before the re-send is.
+      double wait = net::RetryBackoffMs(sp, attempt, rng);
+      if (wait > 0.0) network->cost().RecordLatency(wait);
+      record(net::HistoryEventKind::kTimeout);
+      record(net::HistoryEventKind::kRetransmit);
+    }
+    util::Status sent = send();
+    if (sp.health_tracking && health != nullptr) {
+      health->Record(peer,
+                     0.5 * network->NominalHopLatencyMs() +
+                         network->ExpectedPeerTailDelayMs(peer),
+                     sent.ok());
+    }
+    if (sent.ok()) {
+      delivered = true;
+      break;
+    }
+    if (!endpoints_alive()) break;
+  }
+  // Hedged duplicate toward predictably tardy peers: the sink's hedge timer
+  // (hedge_delay_factor x the nominal reply time) elapses before a
+  // straggler's reply can arrive, so it asks for one duplicate copy; the
+  // dedup absorbs double deliveries.
+  bool hedge_delivered = false;
+  if (sp.hedged_replies && endpoints_alive()) {
+    double hedge_due = sp.hedge_delay_factor * network->NominalHopLatencyMs();
+    if (network->ExpectedPeerTailDelayMs(peer) > hedge_due &&
+        consume_retry()) {
+      ++out.hedges;
+      hedge_delivered = send().ok();
+      // Recorded only when some copy survives: a pair lost whole is loss,
+      // not a dedup-accounting violation.
+      if (delivered || hedge_delivered) {
+        record(net::HistoryEventKind::kHedgeDue);
+        record(net::HistoryEventKind::kHedge, tag);
+      }
+    }
+  }
+  // Whichever of primary (or retry) and hedge arrived is the one accepted
+  // copy; when both did, the hedge is the duplicate.
+  if (delivered || hedge_delivered) {
+    out.accepted = 1;
+    record(net::HistoryEventKind::kDedupAccept, tag);
+    if (delivered && hedge_delivered) {
+      ++out.duplicates;
+      record(net::HistoryEventKind::kDedupDrop, tag);
+    }
+  }
+  // Replayed copies carry the original's tag, so every delivered copy after
+  // the first collides with an already-seen tag and is dropped before the
+  // quorum count. When the original was lost, the first replayed copy
+  // through is indistinguishable from a retransmit and is accepted once.
+  for (size_t replay = 0; replay < replays; ++replay) {
+    if (!send().ok()) continue;
+    if (out.accepted == 0 ||
+        util::BugArmed(util::InjectedBug::kDisableReplyDedup)) {
+      // (Injected bug: the sink forgets it has seen this tag and counts
+      // the replayed copy as a fresh observation.)
+      ++out.accepted;
+      record(net::HistoryEventKind::kDedupAccept, tag);
+      continue;
+    }
+    ++out.duplicates;
+    record(net::HistoryEventKind::kDedupDrop, tag);
+  }
+  return out;
+}
+
+PhaseCollection TwoPhaseEngine::Gather(const query::AggregateQuery& query,
+                                       graph::NodeId sink, size_t count,
+                                       util::Rng& rng, size_t* retry_budget) {
+  PhaseCollection out;
+  auto sampled = sampler_->SamplePeersResilient(sink, count, rng);
+  if (!sampled.ok()) {
+    out.status = sampled.status();
+    return out;
+  }
+  out.observations.reserve(sampled->visits.size());
+  net::HistoryRecorder* history = network_->history();
+  const uint64_t dedup_round = history != nullptr ? history->NextRound() : 0;
+  size_t selection_seq = 0;
+  for (const sampling::PeerVisit& visit : sampled->visits) {
+    PeerObservation obs;
+    obs.selection_seq = selection_seq++;
+    // The selected peer may have departed between selection and local
+    // execution (mid-query churn): its observation is simply lost.
+    if (!network_->IsAlive(visit.peer)) continue;
+    obs.peer = visit.peer;
+    obs.degree = visit.degree;
+    obs.stationary_weight = sampler_->StationaryWeight(visit.peer);
+    size_t replays = ScanSelectedPeer(network_, params_, cache_, query,
+                                      /*charge_scan_latency=*/true, rng,
+                                      /*scratch=*/nullptr, &obs);
+    ReplyOutcome reply = SendReply(
+        network_, params_, &health_, visit.peer, sink, /*batch=*/1, replays,
+        net::DedupTag(dedup_round, visit.peer, obs.selection_seq),
+        retry_budget, rng);
+    out.observations.insert(out.observations.end(), reply.accepted, obs);
+    out.stats.reply_retransmits += reply.retransmits;
+    out.stats.duplicate_replies += reply.duplicates;
+    out.stats.hedges += reply.hedges;
+  }
+  out.stats.walk_restarts = sampled->restarts;
+  out.stats.straggler_skips = sampled->straggler_skips;
+  return out;
+}
+
 util::Result<std::vector<PeerObservation>>
 TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
                                     graph::NodeId sink, size_t count,
                                     util::Rng& rng, CollectionStats* stats,
                                     size_t* retry_budget_left) {
-  const net::StragglerPolicy& sp = params_.straggler;
-  size_t local_budget = sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
-  size_t* budget =
-      retry_budget_left != nullptr ? retry_budget_left : &local_budget;
-  auto consume_retry = [budget]() {
-    if (*budget == 0) return false;
-    if (*budget != SIZE_MAX) --*budget;
-    return true;
-  };
-  auto sampled = sampler_->SamplePeersResilient(sink, count, rng);
-  if (!sampled.ok()) return sampled.status();
-  std::vector<PeerObservation> observations;
-  observations.reserve(sampled->visits.size());
-  size_t retransmits = 0;
-  size_t duplicates_dropped = 0;
-  size_t hedges = 0;
-  net::AdversaryInjector* adversary = network_->adversary();
-  net::HistoryRecorder* history = network_->history();
-  const uint64_t dedup_round = history != nullptr ? history->NextRound() : 0;
-  size_t selection_seq = 0;
-  for (const sampling::PeerVisit& visit : sampled->visits) {
-    const size_t seq = selection_seq++;
-    // The selected peer may have departed between selection and local
-    // execution (mid-query churn): its observation is simply lost.
-    if (!network_->IsAlive(visit.peer)) continue;
-    PeerObservation obs;
-    obs.peer = visit.peer;
-    obs.degree = visit.degree;
-    obs.stationary_weight = sampler_->StationaryWeight(visit.peer);
-    obs.selection_seq = seq;
-    bool from_cache =
-        cache_ != nullptr && cache_->Lookup(visit.peer, query, &obs.aggregate);
-    if (from_cache) {
-      // The visit happened (walker hop costs are already charged) but the
-      // peer answers from its cache: no local scan.
-      network_->cost().RecordPeerVisit();
-    } else {
-      obs.aggregate = query::ExecuteLocal(
-          network_->peer(visit.peer).database(), query,
-          query::SubSamplePolicy{.t = params_.tuples_per_peer,
-                                 .mode = params_.subsample_mode,
-                                 .block_size = params_.block_size},
-          rng);
-      network_->RecordLocalExecution(visit.peer, obs.aggregate.processed_tuples,
-                                     obs.aggregate.processed_tuples);
-      if (cache_ != nullptr) cache_->Store(visit.peer, query, obs.aggregate);
-    }
-    // An adversarial peer lies in the reply it is about to send: misreported
-    // degree (and with it the stationary weight the sink divides by),
-    // corrupted aggregates, and possibly replayed duplicate copies.
-    size_t replays = TamperObservation(adversary, &obs);
-    // (y(p), deg(p)) straight back to the sink over direct IP (Sec. 3.2).
-    // A reply lost in transit is retransmitted after a sink-side timeout; a
-    // crashed endpoint cannot retry.
-    const uint64_t tag = net::DedupTag(dedup_round, visit.peer, seq);
-    bool delivered = false;
-    for (size_t attempt = 0; attempt <= params_.reply_retransmits; ++attempt) {
-      if (attempt > 0) {
-        if (!consume_retry()) break;
-        ++retransmits;
-        // The retry leaves at its actual schedule time: the sink-side wait
-        // (fixed timer or jittered exponential backoff) lands in the ledger
-        // before the re-send is charged, so the latency a backoff plan
-        // reports is the latency the query actually spent waiting.
-        double wait = net::RetryBackoffMs(sp, attempt, rng);
-        if (wait > 0.0) network_->cost().RecordLatency(wait);
-        // The sink's reply timer fires before it asks for the re-send.
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kTimeout,
-                          net::MessageType::kAggregateReply, visit.peer, sink);
-          history->Record(net::HistoryEventKind::kRetransmit,
-                          net::MessageType::kAggregateReply, visit.peer, sink);
-        }
-      }
-      util::Status sent = network_->SendDirect(
-          net::MessageType::kAggregateReply, visit.peer, sink);
-      if (sp.health_tracking) {
-        health_.Record(visit.peer,
-                       0.5 * network_->NominalHopLatencyMs() +
-                           network_->ExpectedPeerTailDelayMs(visit.peer),
-                       sent.ok());
-      }
-      if (sent.ok()) {
-        delivered = true;
-        break;
-      }
-      if (!network_->IsAlive(visit.peer) || !network_->IsAlive(sink)) break;
-    }
-    // Hedged duplicate toward predictably tardy peers: the sink's hedge
-    // timer (hedge_delay_factor x the nominal reply time) elapses before a
-    // straggler's reply can arrive, so it asks for one duplicate copy; the
-    // (peer, selection_seq) dedup absorbs double deliveries.
-    bool hedge_delivered = false;
-    if (sp.hedged_replies && network_->IsAlive(visit.peer) &&
-        network_->IsAlive(sink)) {
-      double hedge_due =
-          sp.hedge_delay_factor * network_->NominalHopLatencyMs();
-      if (network_->ExpectedPeerTailDelayMs(visit.peer) > hedge_due &&
-          consume_retry()) {
-        ++hedges;
-        hedge_delivered = network_
-                              ->SendDirect(net::MessageType::kAggregateReply,
-                                           visit.peer, sink)
-                              .ok();
-        // The hedge pair is recorded only when some copy survives: a pair
-        // where primary, retries and hedge were all lost in transit never
-        // resolves to an accepted observation, which is loss, not a
-        // dedup-accounting violation.
-        if (history != nullptr && (delivered || hedge_delivered)) {
-          history->Record(net::HistoryEventKind::kHedgeDue,
-                          net::MessageType::kAggregateReply, visit.peer, sink);
-          history->Record(net::HistoryEventKind::kHedge,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      }
-    }
-    if (delivered) {
-      observations.push_back(obs);
-      if (history != nullptr) {
-        history->Record(net::HistoryEventKind::kDedupAccept,
-                        net::MessageType::kAggregateReply, visit.peer, sink, 1,
-                        tag);
-      }
-      if (hedge_delivered) {
-        ++duplicates_dropped;
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kDedupDrop,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      }
-    } else if (hedge_delivered) {
-      // The primary (and its retries) were lost but the hedged copy got
-      // through: it is the one accepted observation for this selection.
-      delivered = true;
-      observations.push_back(obs);
-      if (history != nullptr) {
-        history->Record(net::HistoryEventKind::kDedupAccept,
-                        net::MessageType::kAggregateReply, visit.peer, sink, 1,
-                        tag);
-      }
-    }
-    // Replayed copies carry the original's (query_id, peer, phase,
-    // selection_seq) tag, so every delivered copy after the first collides
-    // with an already-seen tag and is dropped before the quorum count.
-    for (size_t replay = 0; replay < replays; ++replay) {
-      util::Status sent = network_->SendDirect(
-          net::MessageType::kAggregateReply, visit.peer, sink);
-      if (!sent.ok()) continue;
-      if (delivered) {
-        if (util::BugArmed(util::InjectedBug::kDisableReplyDedup)) {
-          // Injected bug: the sink forgets it has seen this tag and counts
-          // the replayed copy as a fresh observation.
-          observations.push_back(obs);
-          if (history != nullptr) {
-            history->Record(net::HistoryEventKind::kDedupAccept,
-                            net::MessageType::kAggregateReply, visit.peer,
-                            sink, 1, tag);
-          }
-          continue;
-        }
-        ++duplicates_dropped;
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kDedupDrop,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      } else {
-        // The original was lost but a replayed copy got through: the sink
-        // cannot tell it from a retransmit and accepts it once.
-        observations.push_back(obs);
-        delivered = true;
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kDedupAccept,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      }
-    }
-  }
-  const size_t delivered_count = observations.size();
-  util::Status quorum = CheckObservationQuorum(
-      delivered_count, count, params_.min_observation_quorum);
-  if (!quorum.ok()) return quorum;
-  if (stats != nullptr) {
-    stats->requested = count;
-    stats->delivered = delivered_count;
-    stats->lost = count - delivered_count;
-    stats->reply_retransmits = retransmits;
-    stats->walk_restarts = sampled->restarts;
-    stats->duplicate_replies = duplicates_dropped;
-    stats->hedges = hedges;
-    stats->straggler_skips = sampled->straggler_skips;
-  }
-  return observations;
+  size_t local_budget = RetryAllowance(params_.straggler);
+  PhaseCollection collected =
+      Gather(query, sink, count, rng,
+             retry_budget_left != nullptr ? retry_budget_left : &local_budget);
+  util::Status settled =
+      Settle(collected, count, params_.min_observation_quorum);
+  if (!settled.ok()) return settled;
+  if (stats != nullptr) *stats = collected.stats;
+  return std::move(collected.observations);
 }
 
 void TwoPhaseEngine::BeginQuery() {
@@ -480,31 +491,18 @@ void TwoPhaseEngine::BeginQuery() {
 util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
     const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
   net::CostSnapshot before = network_->cost_snapshot();
-  const net::StragglerPolicy& sp = params_.straggler;
-  // Query-scoped retry/hedge budget, shared by both phases.
-  size_t retry_budget_left =
-      sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
-
-  // ---- Phase I: sniff the network. ----
-  CollectionStats phase1_stats;
-  auto phase1 = CollectObservations(query, sink, params_.phase1_peers, rng,
-                                    &phase1_stats, &retry_budget_left);
-  if (!phase1.ok()) return phase1.status();
-
-  // ---- Plan: size phase II from the cross-validation error. ----
-  auto plan = PlanPhaseTwo(*phase1, query, params_, total_weight_,
-                           network_->num_peers(), rng);
-  if (!plan.ok()) return plan.status();
-
-  // ---- Phase II: execute the plan. ----
-  CollectionStats phase2_stats;
-  auto phase2 = CollectObservations(query, sink, plan->peers, rng,
-                                    &phase2_stats, &retry_budget_left);
-  if (!phase2.ok()) return phase2.status();
-
-  auto answer = BuildAnswer(network_, params_, query.op, sink, total_weight_,
-                            *plan, *phase1, phase1_stats, *phase2,
-                            phase2_stats, rng);
+  // One walk per phase.
+  auto collect = [&](Phase, auto queries, const auto& requests,
+                     size_t* retry_budget, auto& out) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      out[i] = Gather(queries[requests[i].query], sink, requests[i].count,
+                      rng, retry_budget);
+    }
+  };
+  util::Result<ApproximateAnswer> answer =
+      std::move(RunTwoPhasePlan(collect, network_, params_, total_weight_,
+                                sink, {&query, 1}, {}, rng)
+                    .front());
   if (!answer.ok()) return answer;
   answer->cost = net::CostDelta(network_->cost_snapshot(), before);
   answer->sample_tuples = answer->cost.tuples_sampled;
@@ -529,6 +527,81 @@ util::Result<ApproximateAnswer> TwoPhaseEngine::Execute(
       return EstimateDistinctTwoPhase(*this, query, sink, rng);
   }
   return util::Status::InvalidArgument("unknown aggregate operator");
+}
+
+std::vector<util::Result<ApproximateAnswer>> RunTwoPhasePlan(
+    const PhaseCollector& collect, net::SimulatedNetwork* network,
+    const EngineParams& params, double total_weight, graph::NodeId sink,
+    std::span<const query::AggregateQuery> queries,
+    std::vector<util::Status> admitted, util::Rng& rng) {
+  struct QueryRun {
+    util::Status status;
+    PhaseCollection phase1;
+    PhaseCollection phase2;
+    PhaseTwoPlan plan;
+    bool planned = false;
+  };
+  std::vector<QueryRun> runs(queries.size());
+  for (size_t q = 0; q < admitted.size(); ++q) {
+    runs[q].status = std::move(admitted[q]);
+  }
+  // Query-scoped, shared by both phases.
+  size_t retry_budget = RetryAllowance(params.straggler);
+  auto run_phase = [&](Phase phase) {
+    std::vector<PhaseRequest> requests;
+    for (size_t q = 0; q < runs.size(); ++q) {
+      if (!runs[q].status.ok()) continue;
+      if (phase == Phase::kOne) {
+        requests.push_back({q, params.phase1_peers});
+      } else if (runs[q].planned) {
+        requests.push_back({q, runs[q].plan.peers});
+      }
+    }
+    if (requests.empty()) return;
+    std::vector<PhaseCollection> collected(requests.size());
+    collect(phase, queries, requests, &retry_budget, collected);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      QueryRun& run = runs[requests[i].query];
+      PhaseCollection& c = phase == Phase::kOne ? run.phase1 : run.phase2;
+      c = std::move(collected[i]);
+      run.status = Settle(c, requests[i].count, params.min_observation_quorum);
+    }
+  };
+
+  // ---- Phase I: sniff the network. ----
+  run_phase(Phase::kOne);
+  // ---- Plan: size each phase II from its query's cross-validation. ----
+  for (size_t q = 0; q < runs.size(); ++q) {
+    QueryRun& run = runs[q];
+    if (!run.status.ok()) continue;
+    auto plan = PlanPhaseTwo(run.phase1.observations, queries[q], params,
+                             total_weight, network->num_peers(), rng);
+    if (plan.ok()) {
+      run.plan = *plan;
+      run.planned = true;
+    } else if (!run.phase1.stats.deadline_hit) {
+      // (Under a deadline, the anytime answer over phase I stands instead.)
+      run.status = plan.status();
+    }
+  }
+  // ---- Phase II: execute each plan. ----
+  run_phase(Phase::kTwo);
+
+  std::vector<util::Result<ApproximateAnswer>> answers;
+  answers.reserve(runs.size());
+  for (size_t q = 0; q < runs.size(); ++q) {
+    QueryRun& run = runs[q];
+    if (!run.status.ok()) {
+      answers.emplace_back(std::move(run.status));
+      continue;
+    }
+    answers.push_back(BuildAnswer(network, params, queries[q].op, sink,
+                                  total_weight, run.plan,
+                                  run.phase1.observations, run.phase1.stats,
+                                  run.phase2.observations, run.phase2.stats,
+                                  rng));
+  }
+  return answers;
 }
 
 size_t SizePhaseTwo(const EngineParams& params, size_t num_peers,

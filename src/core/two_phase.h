@@ -10,7 +10,10 @@
 #ifndef P2PAQP_CORE_TWO_PHASE_H_
 #define P2PAQP_CORE_TWO_PHASE_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -170,15 +173,6 @@ struct PeerObservation {
   size_t selection_seq = 0;
 };
 
-// Applies an installed adversary's reply tampering to one outgoing
-// observation: degree misreport (the shipped degree *and* the stationary
-// weight the sink will divide by follow the lie) and aggregate corruption
-// (count, sum and total-sum values scaled/sign-flipped/blown up). Returns
-// the number of replayed duplicate copies the peer additionally pushes at
-// the sink. No-op returning 0 for honest peers or a null injector.
-size_t TamperObservation(net::AdversaryInjector* adversary,
-                         PeerObservation* obs);
-
 // Degree cross-validation: for each distinct peer in `observations`, the
 // sink probes `policy.degree_audit_probes` uniformly-chosen slots of the
 // claimed adjacency list. A genuine slot resolves to a real neighbor, which
@@ -194,6 +188,21 @@ size_t AuditObservationDegrees(net::SimulatedNetwork* network,
                                graph::NodeId sink,
                                std::vector<PeerObservation>* observations,
                                util::Rng& rng);
+
+// The local step every collector runs at a selected peer: a fresh result
+// in `cache` answers (a visit, no scan); else the sub-sampled scan runs (in
+// `scratch` if given), is charged to the ledger, with its latency when
+// `charge_scan_latency`, and is stored in `cache`. Then an adversarial peer
+// tampers with its reply (degree and values). `obs` arrives with its peer,
+// degree, weight and seq set. Returns the replayed copies the peer pushes.
+size_t ScanSelectedPeer(net::SimulatedNetwork* network,
+                        const EngineParams& params, LocalResultCache* cache,
+                        const query::AggregateQuery& query,
+                        bool charge_scan_latency, util::Rng& rng,
+                        query::LocalExecScratch* scratch,
+                        PeerObservation* obs);
+
+struct PhaseCollection;
 
 class TwoPhaseEngine {
  public:
@@ -270,6 +279,12 @@ class TwoPhaseEngine {
   util::Result<ApproximateAnswer> ExecuteCentral(
       const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng);
 
+  // One collection without the quorum rule: the walk, then each visit's
+  // local scan and reply. Retries and hedges draw on `*retry_budget`.
+  PhaseCollection Gather(const query::AggregateQuery& query,
+                         graph::NodeId sink, size_t count, util::Rng& rng,
+                         size_t* retry_budget);
+
   net::SimulatedNetwork* network_;
   SystemCatalog catalog_;
   EngineParams params_;
@@ -282,11 +297,75 @@ class TwoPhaseEngine {
   LocalResultCache* cache_ = nullptr;
 };
 
-// ---- The plan's sink-side steps (Sec. 4) ----------------------------------
-// TwoPhaseEngine, AsyncQuerySession and QueryScheduler collect observations
-// their own way (one sequential walk, event-driven walkers, a shared sample
-// frame), but all three size phase II and build their answers through the
-// functions below, so the plan has one rule set whichever engine runs it.
+// Sink-side outcome of one reply (SendReply). `accepted` is 1, or 0 when
+// every copy was lost (more only under the kDisableReplyDedup seam).
+struct ReplyOutcome {
+  size_t accepted = 0;
+  size_t retransmits = 0;
+  size_t hedges = 0;
+  size_t duplicates = 0;  // Copies the dedup dropped.
+};
+
+// The reply step of the sync engine and the scheduler. `peer`'s (y(p),
+// deg(p)) reply goes straight back to `sink` over direct IP (Sec. 3.2) as
+// one wire message carrying `batch` query bodies behind a shared header.
+// Lost, it is retransmitted after a sink-side timeout up to
+// params.reply_retransmits times, each retry's backoff wait charged to the
+// ledger; a predictably tardy peer gets one hedged duplicate; the
+// adversary's `replays` copies follow, and the sink's dedup on `tag` counts
+// one. Retries and hedges draw on `*retry_budget`; each wire message is one
+// history record of width `batch`; `health` (optional) scores each attempt.
+ReplyOutcome SendReply(net::SimulatedNetwork* network,
+                       const EngineParams& params,
+                       net::PeerHealthBoard* health, graph::NodeId peer,
+                       graph::NodeId sink, uint32_t batch, size_t replays,
+                       uint64_t tag, size_t* retry_budget, util::Rng& rng);
+
+// ---- The plan (Sec. 4), driven once ---------------------------------------
+// RunTwoPhasePlan takes a batch of queries through phase I, the quorum,
+// PlanPhaseTwo, phase II at each query's own m', the quorum and
+// BuildAnswer. The engines differ only in their PhaseCollector: one walk
+// per query (TwoPhaseEngine), event-driven walkers (AsyncQuerySession), or a
+// shared sample frame whose batched replies carry every query's body
+// (QueryScheduler). The steps below are public for the median, distinct and
+// histogram plans and for tests.
+
+enum class Phase { kOne = 1, kTwo = 2 };
+
+struct PhaseRequest {
+  size_t query = 0;  // Position in the batch.
+  size_t count = 0;  // Observations requested: m, or the query's m'.
+};
+
+struct PhaseCollection {
+  // Not ok: the collection failed (a dead sink, a failed walk), and with it
+  // the query.
+  util::Status status;
+  std::vector<PeerObservation> observations;
+  // The collector fills the counters and deadline_hit; the driver fills
+  // requested, delivered and lost.
+  TwoPhaseEngine::CollectionStats stats;
+};
+
+// Gathers one phase into out[i] for requests[i] (live queries, in batch
+// order; `out` arrives sized). Retries and hedges draw on `*retry_budget`,
+// which spans both phases of the batch.
+using PhaseCollector = std::function<void(
+    Phase phase, std::span<const query::AggregateQuery> queries,
+    const std::vector<PhaseRequest>& requests, size_t* retry_budget,
+    std::vector<PhaseCollection>& out)>;
+
+// One answer per query, in order. A query `admitted` rejects (empty = all
+// admitted) is answered with its status and never collected. A query fails
+// alone: below the quorum in either phase, or when its plan or answer step
+// fails. A collection that reports deadline_hit waives its quorum, and a
+// deadline-cut phase I whose plan fails is answered from phase I. Draws from
+// `rng` in order: phase I, the plans, phase II, the answers.
+std::vector<util::Result<ApproximateAnswer>> RunTwoPhasePlan(
+    const PhaseCollector& collect, net::SimulatedNetwork* network,
+    const EngineParams& params, double total_weight, graph::NodeId sink,
+    std::span<const query::AggregateQuery> queries,
+    std::vector<util::Status> admitted, util::Rng& rng);
 
 // Phase-II plan the sink derives from the phase-I observations.
 struct PhaseTwoPlan {

@@ -1,12 +1,19 @@
 // Tests for the multi-query scheduler: batch execution over a shared sample
 // frame, frame reuse/top-up/epoch-expiry, the walker-batching and
-// frame-reuse ablation switches, and per-query failure isolation.
+// frame-reuse ablation switches, per-query failure isolation, and the
+// batched replies' straggler parity with the sync engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/multi_query.h"
+#include "net/adversary.h"
+#include "net/fault.h"
+#include "net/history.h"
 #include "test_common.h"
+#include "verify/protocol/history_checker.h"
 
 namespace p2paqp::core {
 namespace {
@@ -220,6 +227,162 @@ TEST(QuerySchedulerTest, SumQueriesEstimateTotals) {
   // SUM over values in [1,60] must exceed COUNT of the same predicate
   // (every matching tuple has value >= 1).
   EXPECT_GE(result.answers[0]->estimate, result.answers[1]->estimate);
+}
+
+// ---- Batched replies go through the sync engine's reply loop -------------
+// Each test records the protocol history and requires the black-box checker
+// to find nothing: one record per wire message, hedges resolved, dedup
+// accepted before it drops.
+
+std::string HistoryViolations(const net::HistoryRecorder& history) {
+  std::string dump;
+  for (const std::string& v : verify::CheckHistory(history.events())) {
+    dump += "\n  " + v;
+  }
+  return dump;
+}
+
+// The frame walk's recovery work reaches the answers it served. A first run
+// records the frame walk; a second, on the same seeds, crashes the peer
+// holding the token at one of its hops, so the sink re-issues the token —
+// and every query of the batch reports the restart.
+TEST(QuerySchedulerTest, AnswersReportFrameWalkRestartsUnderHolderCrashes) {
+  auto run = [](const net::FaultPlan& faults, net::HistoryRecorder* history) {
+    TestNetwork tn = MakeTestNetwork(TestNetworkParams{});
+    tn.network.InstallFaultPlan(faults, 31);
+    tn.network.set_history(history);
+    FreshnessCache cache(10, 1 << 12);
+    QueryScheduler scheduler(&tn.network, tn.catalog, DefaultParams(tn),
+                             &cache);
+    util::Rng rng(32);
+    BatchResult result = scheduler.ExecuteBatch(QueryMix(), 0, rng);
+    tn.network.set_history(nullptr);
+    return result;
+  };
+  // Scheduled crashes draw no RNG: a crash that never comes due installs
+  // the injector without changing the run.
+  net::FaultPlan faults;
+  faults.crash_immune = {0};  // The sink.
+  faults.scheduled_crashes = {{UINT64_MAX, 1}};
+  net::HistoryRecorder recorded;
+  run(faults, &recorded);
+  // Every send passes the injector, so the n-th send is message n.
+  uint64_t message = 0;
+  net::ScheduledCrash holder_crash;
+  for (const net::HistoryEvent& e : recorded.events()) {
+    if (e.kind != net::HistoryEventKind::kSend) continue;
+    if (message >= 100 && e.type == net::MessageType::kWalker && e.from != 0) {
+      holder_crash = {message, e.from};
+      break;
+    }
+    ++message;
+  }
+  ASSERT_NE(holder_crash.peer, graph::kInvalidNode);
+
+  faults.scheduled_crashes = {holder_crash};
+  net::HistoryRecorder history;
+  BatchResult result = run(faults, &history);
+  for (size_t i = 0; i < result.answers.size(); ++i) {
+    ASSERT_TRUE(result.answers[i].ok())
+        << "query " << i << ": " << result.answers[i].status().ToString();
+    EXPECT_GT(result.answers[i]->walk_restarts, 0u) << "query " << i;
+  }
+  EXPECT_EQ(HistoryViolations(history), "");
+}
+
+// A Pareto tail plus a slow coalition makes some frame peers predictably
+// tardy: the sink hedges their batched replies like the sync engine does.
+TEST(QuerySchedulerTest, HedgesBatchedRepliesOfSlowPeers) {
+  TestNetwork tn = MakeTestNetwork(TestNetworkParams{});
+  net::FaultPlan faults;
+  faults.tail = net::LatencyTail::kPareto;
+  faults.tail_scale_ms = 10.0;
+  faults.tail_alpha = 1.1;
+  faults.slow_fraction = 0.15;
+  faults.slow_factor = 20.0;
+  faults.crash_immune = {0};
+  tn.network.InstallFaultPlan(faults, 41);
+  net::HistoryRecorder history;
+  tn.network.set_history(&history);
+  FreshnessCache cache(10, 1 << 12);
+  SchedulerParams params = DefaultParams(tn);
+  params.engine.straggler.hedged_replies = true;
+  QueryScheduler scheduler(&tn.network, tn.catalog, params, &cache);
+  util::Rng rng(42);
+  BatchResult result = scheduler.ExecuteBatch(QueryMix(), 0, rng);
+  size_t hedges = 0;
+  for (const auto& answer : result.answers) {
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    hedges += answer->hedges_sent;
+  }
+  EXPECT_GT(hedges, 0u);
+  EXPECT_GT(history.Count(net::HistoryEventKind::kHedge), 0u);
+  EXPECT_EQ(HistoryViolations(history), "");
+  tn.network.set_history(nullptr);
+}
+
+// Under 15% drops, retried batched replies wait out the exponential backoff,
+// and the batch's latency carries those waits. Jitter 0 draws no RNG, so the
+// same seeds replay the same traffic with and without the backoff and the
+// latency gap is exactly the sum of the waits.
+TEST(QuerySchedulerTest, BatchLatencyIncludesBackoffWaits) {
+  auto run = [](bool backoff, net::HistoryRecorder* history) {
+    TestNetwork tn = MakeTestNetwork(TestNetworkParams{});
+    net::FaultPlan faults;
+    faults.drop_probability = 0.15;
+    faults.crash_immune = {0};
+    tn.network.InstallFaultPlan(faults, 51);
+    tn.network.set_history(history);
+    FreshnessCache cache(10, 1 << 12);
+    SchedulerParams params = DefaultParams(tn);
+    params.engine.straggler.exponential_backoff = backoff;
+    params.engine.straggler.backoff_jitter = 0.0;
+    QueryScheduler scheduler(&tn.network, tn.catalog, params, &cache);
+    util::Rng rng(52);
+    BatchResult result = scheduler.ExecuteBatch(QueryMix(), 0, rng);
+    for (const auto& answer : result.answers) {
+      EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    }
+    tn.network.set_history(nullptr);
+    return result;
+  };
+  net::HistoryRecorder history;
+  BatchResult waited = run(/*backoff=*/true, &history);
+  BatchResult plain = run(/*backoff=*/false, nullptr);
+  EXPECT_EQ(waited.cost.messages, plain.cost.messages);
+  // Every retransmit waits at least the base backoff, once per wire reply.
+  const uint64_t retries = history.Count(net::HistoryEventKind::kRetransmit);
+  ASSERT_GT(retries, 0u);
+  const double base = net::StragglerPolicy{}.backoff_base_ms;
+  EXPECT_GE(waited.cost.latency_ms - plain.cost.latency_ms,
+            static_cast<double>(retries) * base - 1e-6);
+  EXPECT_EQ(HistoryViolations(history), "");
+}
+
+// A replay coalition pushes duplicate copies of its batched replies; the
+// sink drops them on the (query, peer, phase, selection_seq) tag and every
+// query of the reply reports the drop.
+TEST(QuerySchedulerTest, DropsReplayedBatchedReplies) {
+  TestNetwork tn = MakeTestNetwork(TestNetworkParams{});
+  net::AdversaryPlan adversary;
+  adversary.adversary_fraction = 0.2;
+  adversary.replay_copies = 3;
+  adversary.immune = {0};
+  tn.network.InstallAdversaryPlan(adversary, 61);
+  net::HistoryRecorder history;
+  tn.network.set_history(&history);
+  FreshnessCache cache(10, 1 << 12);
+  QueryScheduler scheduler(&tn.network, tn.catalog, DefaultParams(tn),
+                           &cache);
+  util::Rng rng(62);
+  BatchResult result = scheduler.ExecuteBatch(QueryMix(), 0, rng);
+  for (const auto& answer : result.answers) {
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_GT(answer->duplicate_replies, 0u);
+  }
+  EXPECT_GT(history.Count(net::HistoryEventKind::kDedupDrop), 0u);
+  EXPECT_EQ(HistoryViolations(history), "");
+  tn.network.set_history(nullptr);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // End-to-end tests of the adaptive two-phase engine on clustered networks.
 #include "core/two_phase.h"
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -713,6 +715,204 @@ TEST(AnswerStepTest, EmptyAnytimeSetAnswersZeroInsteadOfFailing) {
                             {}, Collected(30, 0), {}, Collected(0, 0), rng);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), util::StatusCode::kUnavailable);
+}
+
+// ---- The plan driver (RunTwoPhasePlan) with a scripted collector ----------
+// The collector hands back fixed observation lists and deadline flags, so
+// each driver rule is checked on its own, without a walk. The network only
+// supplies the phase-II cap; the audit is off.
+
+// Hands back `phase1[q]` / `phase2[q]` for query q, truncated to the count
+// asked for, and logs every request.
+class ScriptedCollector {
+ public:
+  struct Script {
+    std::vector<PeerObservation> observations;
+    bool deadline_hit = false;
+  };
+
+  ScriptedCollector(std::vector<Script> phase1, std::vector<Script> phase2)
+      : phase1_(std::move(phase1)), phase2_(std::move(phase2)) {}
+
+  PhaseCollector Collector() {
+    return [this](Phase phase, std::span<const query::AggregateQuery> queries,
+                  const std::vector<PhaseRequest>& requests, size_t*,
+                  std::vector<PhaseCollection>& out) {
+      EXPECT_EQ(out.size(), requests.size());
+      for (size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_LT(requests[i].query, queries.size());
+        calls.emplace_back(phase, requests[i].query, requests[i].count);
+        const Script& script =
+            (phase == Phase::kOne ? phase1_ : phase2_)[requests[i].query];
+        const size_t n =
+            std::min(script.observations.size(), requests[i].count);
+        out[i].observations.assign(script.observations.begin(),
+                                   script.observations.begin() + n);
+        out[i].stats.deadline_hit = script.deadline_hit;
+      }
+    };
+  }
+
+  // Every request, in order: (phase, query, count).
+  std::vector<std::tuple<Phase, size_t, size_t>> calls;
+
+ private:
+  std::vector<Script> phase1_;
+  std::vector<Script> phase2_;
+};
+
+TestNetwork SmallNetwork() {
+  TestNetworkParams params;
+  params.num_peers = 100;
+  params.num_edges = 400;
+  params.cut_edges = 20;
+  params.tuples_per_peer = 5;
+  return MakeTestNetwork(params);
+}
+
+ScriptedCollector::Script Scripted(const std::vector<double>& values,
+                                   bool deadline_hit = false) {
+  return {CountObservations(values), deadline_hit};
+}
+
+std::vector<double> Spread(size_t n, double scale) {
+  std::vector<double> values;
+  for (size_t i = 0; i < n; ++i) {
+    values.push_back(scale * static_cast<double>((i * 7) % 11));
+  }
+  return values;
+}
+
+TEST(PlanDriverTest, QueryBelowPhaseOneQuorumFailsAlone) {
+  TestNetwork tn = SmallNetwork();
+  EngineParams params;
+  params.phase1_peers = 8;
+  params.min_observation_quorum = 0.5;  // 4 of 8.
+  const std::vector<query::AggregateQuery> queries(3, CountQuery(0.2));
+  // Phase II delivers whatever m' each plan asks for.
+  ScriptedCollector collector(
+      {Scripted(Spread(8, 1.0)), Scripted(Spread(3, 1.0)),
+       Scripted(Spread(6, 2.0))},
+      {Scripted(Spread(100, 1.0)), Scripted(Spread(100, 1.0)),
+       Scripted(Spread(100, 2.0))});
+  util::Rng rng(3);
+  auto answers = RunTwoPhasePlan(collector.Collector(), &tn.network, params,
+                                 1.0, 0, queries, {}, rng);
+  ASSERT_EQ(answers.size(), 3u);
+  ASSERT_TRUE(answers[0].ok()) << answers[0].status().ToString();
+  ASSERT_FALSE(answers[1].ok());
+  EXPECT_EQ(answers[1].status().code(), util::StatusCode::kUnavailable);
+  ASSERT_TRUE(answers[2].ok()) << answers[2].status().ToString();
+  EXPECT_EQ(answers[2]->phase1_peers, 6u);
+  // Query 1 never reaches phase II; its siblings do.
+  for (const auto& [phase, query, count] : collector.calls) {
+    if (phase == Phase::kTwo) {
+      EXPECT_NE(query, 1u);
+    }
+  }
+  EXPECT_EQ(collector.calls.size(), 5u);
+
+  // A query the engine rejected up front is answered with its status and
+  // never collected.
+  ScriptedCollector rejecting({Scripted(Spread(8, 1.0))},
+                              {Scripted(Spread(10, 1.0))});
+  auto rejected = RunTwoPhasePlan(
+      rejecting.Collector(), &tn.network, params, 1.0, 0,
+      std::span<const query::AggregateQuery>(queries.data(), 1),
+      {util::Status::InvalidArgument("rejected")}, rng);
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_EQ(rejected[0].status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rejecting.calls.empty());
+}
+
+TEST(PlanDriverTest, DeadlineWaivesQuorumAndAnswersFromPhaseOne) {
+  TestNetwork tn = SmallNetwork();
+  EngineParams params;
+  params.phase1_peers = 8;
+  params.min_observation_quorum = 0.5;
+  const std::vector<query::AggregateQuery> queries(3, CountQuery(0.2));
+  // Query 0: one observation beat the deadline — below the quorum and too
+  // few to plan. Query 1: the same delivery without a deadline. Query 2:
+  // the deadline cut phase I below the quorum, the plan still works, and
+  // the deadline cuts phase II too.
+  ScriptedCollector collector(
+      {Scripted({5.0}, /*deadline_hit=*/true), Scripted({5.0}),
+       Scripted({4.0, 6.0, 9.0}, /*deadline_hit=*/true)},
+      {Scripted(Spread(100, 1.0)), Scripted(Spread(100, 1.0)),
+       Scripted({7.0, 3.0}, /*deadline_hit=*/true)});
+  util::Rng rng(4);
+  auto answers = RunTwoPhasePlan(collector.Collector(), &tn.network, params,
+                                 1.0, 0, queries, {}, rng);
+  ASSERT_EQ(answers.size(), 3u);
+  ASSERT_TRUE(answers[0].ok()) << answers[0].status().ToString();
+  EXPECT_TRUE(answers[0]->deadline_hit);
+  EXPECT_TRUE(answers[0]->degraded);
+  EXPECT_EQ(answers[0]->estimate, 5.0);
+  EXPECT_EQ(answers[0]->phase1_peers, 1u);
+  EXPECT_EQ(answers[0]->phase2_peers, 0u);
+  EXPECT_EQ(answers[0]->observations_lost, 7u);
+  EXPECT_EQ(answers[0]->achieved_error, 1.0);
+  ASSERT_FALSE(answers[1].ok());
+  EXPECT_EQ(answers[1].status().code(), util::StatusCode::kUnavailable);
+  // The anytime answer pools both phases.
+  ASSERT_TRUE(answers[2].ok()) << answers[2].status().ToString();
+  EXPECT_TRUE(answers[2]->deadline_hit);
+  EXPECT_EQ(answers[2]->phase1_peers, 3u);
+  EXPECT_EQ(answers[2]->phase2_peers, 2u);
+  EXPECT_DOUBLE_EQ(answers[2]->estimate, 29.0 / 5.0);
+  // Only query 2 had a plan to run.
+  size_t phase2_calls = 0;
+  for (const auto& [phase, query, count] : collector.calls) {
+    if (phase != Phase::kTwo) continue;
+    ++phase2_calls;
+    EXPECT_EQ(query, 2u);
+  }
+  EXPECT_EQ(phase2_calls, 1u);
+}
+
+TEST(PlanDriverTest, EachQueryRequestsPhaseTwoAtItsOwnSize) {
+  TestNetwork tn = SmallNetwork();
+  EngineParams params;
+  params.phase1_peers = 12;
+  params.max_phase2_peers = 60;
+  const std::vector<query::AggregateQuery> queries = {CountQuery(0.1),
+                                                      CountQuery(0.1)};
+  // Identical phase-I values cross-validate to 0 error (m' at the floor);
+  // a wide spread needs many more peers.
+  const std::vector<double> flat(12, 3.0);
+  const std::vector<double> wide = {0.0, 40.0, 1.0, 0.0, 35.0, 2.0,
+                                    0.0, 50.0, 0.0, 1.0, 45.0, 0.0};
+  ScriptedCollector collector({Scripted(flat), Scripted(wide)},
+                              {Scripted(Spread(4, 1.0)),
+                               Scripted(Spread(20, 1.0))});
+  util::Rng rng(5);
+  auto answers = RunTwoPhasePlan(collector.Collector(), &tn.network, params,
+                                 1.0, 0, queries, {}, rng);
+  // The driver plans in batch order from the same stream.
+  util::Rng replay(5);
+  size_t expected[2];
+  expected[0] = PlanPhaseTwo(CountObservations(flat), queries[0], params, 1.0,
+                             tn.network.num_peers(), replay)
+                    ->peers;
+  expected[1] = PlanPhaseTwo(CountObservations(wide), queries[1], params, 1.0,
+                             tn.network.num_peers(), replay)
+                    ->peers;
+  EXPECT_EQ(expected[0], params.min_phase2_peers);
+  EXPECT_GT(expected[1], expected[0]);
+  size_t phase2_calls = 0;
+  for (const auto& [phase, query, count] : collector.calls) {
+    if (phase == Phase::kOne) {
+      EXPECT_EQ(count, params.phase1_peers);
+      continue;
+    }
+    ++phase2_calls;
+    EXPECT_EQ(count, expected[query]) << "query " << query;
+  }
+  EXPECT_EQ(phase2_calls, 2u);
+  for (size_t q = 0; q < 2; ++q) {
+    ASSERT_TRUE(answers[q].ok()) << answers[q].status().ToString();
+  }
+  EXPECT_EQ(answers[1]->phase2_peers, std::min<size_t>(20, expected[1]));
 }
 
 }  // namespace

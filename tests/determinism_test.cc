@@ -535,5 +535,92 @@ TEST(DeterminismTest, AnytimeReplicatesAreThreadCountInvariant) {
   EXPECT_NE(one[0], one[1]);  // Distinct clone seeds: non-vacuous check.
 }
 
+// Scheduler batches under the straggler stack: a Pareto tail, a slow
+// coalition and 5% drops, with hedged batched replies and jittered
+// exponential backoff on their retries. Two batches replay bit-identically,
+// and replicates over clones give the same result for any P2PAQP_THREADS.
+TEST(DeterminismTest, SchedulerStragglerBatchesReplayForAnyThreadCount) {
+  auto run = [](net::SimulatedNetwork* network,
+                const core::SystemCatalog& catalog, uint64_t seed) {
+    core::FreshnessCache cache(/*ttl_epochs=*/10, /*max_entries=*/1 << 12);
+    core::SchedulerParams params;
+    params.engine.phase1_peers = 30;
+    params.engine.max_phase2_peers = 120;
+    params.engine.straggler.hedged_replies = true;
+    params.engine.straggler.exponential_backoff = true;
+    params.walk.jump = catalog.suggested_jump;
+    params.walk.burn_in = catalog.suggested_burn_in;
+    core::QueryScheduler scheduler(network, catalog, params, &cache);
+    std::vector<query::AggregateQuery> queries;
+    for (int hi : {20, 40, 60}) {
+      query::AggregateQuery q = CountQuery();
+      q.predicate = {1, hi};
+      queries.push_back(q);
+    }
+    util::Rng rng(seed);
+    std::vector<core::BatchResult> batches;
+    batches.push_back(scheduler.ExecuteBatch(queries, /*sink=*/0, rng));
+    batches.push_back(scheduler.ExecuteBatch(queries, /*sink=*/0, rng));
+    return batches;
+  };
+  auto lossy_straggler_plan = [] {
+    net::FaultPlan plan = StragglerFaultPlan();
+    plan.drop_probability = 0.05;
+    return plan;
+  };
+
+  TestNetwork a = MakeTestNetwork(SmallParams());
+  TestNetwork b = MakeTestNetwork(SmallParams());
+  a.network.InstallFaultPlan(lossy_straggler_plan(), 4242);
+  b.network.InstallFaultPlan(lossy_straggler_plan(), 4242);
+  auto first = run(&a.network, a.catalog, 77);
+  auto second = run(&b.network, b.catalog, 77);
+  size_t hedges = 0;
+  for (size_t batch = 0; batch < first.size(); ++batch) {
+    ASSERT_EQ(first[batch].answers.size(), second[batch].answers.size());
+    for (size_t i = 0; i < first[batch].answers.size(); ++i) {
+      ASSERT_TRUE(first[batch].answers[i].ok());
+      ASSERT_TRUE(second[batch].answers[i].ok());
+      ExpectIdentical(*first[batch].answers[i], *second[batch].answers[i]);
+      hedges += first[batch].answers[i]->hedges_sent;
+    }
+    EXPECT_EQ(first[batch].cost.messages, second[batch].cost.messages);
+    EXPECT_EQ(first[batch].cost.messages_dropped,
+              second[batch].cost.messages_dropped);
+    EXPECT_EQ(first[batch].cost.latency_ms, second[batch].cost.latency_ms);
+  }
+  // The stack must actually engage, or the replay check is vacuous.
+  EXPECT_GT(hedges, 0u);
+  EXPECT_GT(first[0].cost.messages_dropped, 0u);
+
+  TestNetwork base = MakeTestNetwork(SmallParams());
+  base.network.InstallFaultPlan(lossy_straggler_plan(), 4242);
+  auto run_replicates = [&](const char* threads) {
+    ScopedThreads scoped(threads);
+    return util::ParallelMap(8, [&](size_t rep) {
+      net::SimulatedNetwork network = base.network.Clone(8000 + rep);
+      auto batches = run(&network, base.catalog, 400 + rep);
+      double fingerprint = 0.0;
+      for (const core::BatchResult& batch : batches) {
+        fingerprint = fingerprint * 1e-3 + batch.cost.latency_ms;
+        for (const auto& answer : batch.answers) {
+          fingerprint = fingerprint * 1e-3 +
+                        (answer.ok() ? answer->estimate +
+                                           static_cast<double>(
+                                               answer->hedges_sent)
+                                     : -1.0);
+        }
+      }
+      return fingerprint;
+    });
+  };
+  std::vector<double> one = run_replicates("1");
+  std::vector<double> two = run_replicates("2");
+  std::vector<double> eight = run_replicates("8");
+  EXPECT_EQ(one, two);
+  EXPECT_EQ(one, eight);
+  EXPECT_NE(one[0], one[1]);  // Distinct clone seeds: non-vacuous check.
+}
+
 }  // namespace
 }  // namespace p2paqp

@@ -1,8 +1,11 @@
 // Cross-module property tests: parameterized sweeps asserting structural
 // and statistical invariants that must hold for *every* configuration, not
 // just the defaults the unit tests pin down.
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -81,6 +84,161 @@ INSTANTIATE_TEST_SUITE_P(
                  topology::TopologyKindToString(std::get<0>(info.param))) +
              "_n" + std::to_string(std::get<1>(info.param)) + "_e" +
              std::to_string(std::get<2>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// The answer step (BuildAnswer) on generated observation sets: COUNT and
+// SUM, plain and robust HT, with and without loss. The degree audit stays
+// off: its probes draw per peer in observation order.
+// ---------------------------------------------------------------------------
+
+using AnswerStepParam =
+    std::tuple<query::AggregateOp, bool /*robust*/, bool /*loss*/>;
+
+class AnswerStepProperties
+    : public ::testing::TestWithParam<AnswerStepParam> {
+ protected:
+  static constexpr uint64_t kCases = 60;
+
+  struct Case {
+    core::EngineParams params;
+    core::PhaseTwoPlan plan;
+    double total_weight = 0.0;
+    std::vector<core::PeerObservation> phase1;
+    std::vector<core::PeerObservation> phase2;
+    core::TwoPhaseEngine::CollectionStats phase1_stats;
+    core::TwoPhaseEngine::CollectionStats phase2_stats;
+  };
+
+  // Degree-weighted selections with a heavy right tail of values and some
+  // predicate misses, like the HT contributions a walk collects.
+  static std::vector<core::PeerObservation> Observations(size_t n,
+                                                         util::Rng& rng) {
+    std::vector<core::PeerObservation> observations(n);
+    for (size_t i = 0; i < n; ++i) {
+      core::PeerObservation& obs = observations[i];
+      obs.peer = static_cast<graph::NodeId>(rng.UniformIndex(500));
+      obs.degree = static_cast<uint32_t>(1 + rng.UniformIndex(40));
+      obs.stationary_weight = static_cast<double>(obs.degree);
+      obs.selection_seq = i;
+      const double u = rng.UniformDouble();
+      const double count = rng.Bernoulli(0.2) ? 0.0 : 1.0 + 300.0 * u * u * u;
+      obs.aggregate.count_value = count;
+      obs.aggregate.sum_value = count * rng.UniformDouble(1.0, 100.0);
+      obs.aggregate.total_sum_value =
+          obs.aggregate.sum_value + rng.UniformDouble(0.0, 5000.0);
+      obs.aggregate.local_tuples = 1 + rng.UniformIndex(400);
+    }
+    return observations;
+  }
+
+  static core::TwoPhaseEngine::CollectionStats Delivered(size_t delivered,
+                                                         size_t lost) {
+    core::TwoPhaseEngine::CollectionStats stats;
+    stats.requested = delivered + lost;
+    stats.delivered = delivered;
+    stats.lost = lost;
+    return stats;
+  }
+
+  Case Generate(uint64_t seed) const {
+    auto [op, robust, loss] = GetParam();
+    util::Rng rng(seed);
+    Case c;
+    if (robust) {
+      c.params.robustness.estimator = core::RobustEstimatorKind::kWinsorized;
+      c.params.robustness.trim_fraction = 0.1;
+      c.params.robustness.mad_cutoff = 3.0;
+    }
+    c.total_weight = rng.UniformDouble(1000.0, 50000.0);
+    c.phase1 = Observations(4 + rng.UniformIndex(40), rng);
+    c.phase2 = Observations(2 + rng.UniformIndex(80), rng);
+    const size_t lost1 = loss ? rng.UniformIndex(10) : 0;
+    const size_t lost2 = loss ? 1 + rng.UniformIndex(20) : 0;
+    c.phase1_stats = Delivered(c.phase1.size(), lost1);
+    c.phase2_stats = Delivered(c.phase2.size(), lost2);
+    c.plan.peers = c.phase2_stats.requested;
+    c.plan.estimated_total = rng.UniformDouble(1e3, 1e6);
+    c.plan.cv_error_relative = rng.UniformDouble(0.0, 1.0);
+    return c;
+  }
+
+  static util::Result<core::ApproximateAnswer> Answer(const Case& c) {
+    // No draws with the audit off; a fixed stream keeps it that way.
+    util::Rng rng(1);
+    return core::BuildAnswer(nullptr, c.params, std::get<0>(GetParam()),
+                             /*sink=*/0, c.total_weight, c.plan, c.phase1,
+                             c.phase1_stats, c.phase2, c.phase2_stats, rng);
+  }
+
+  static void ExpectRelative(double actual, double expected,
+                             const char* what) {
+    EXPECT_LE(std::fabs(actual - expected),
+              1e-12 * std::max(std::fabs(actual), std::fabs(expected)))
+        << what << ": " << actual << " vs " << expected;
+  }
+};
+
+TEST_P(AnswerStepProperties, AnswerDoesNotDependOnObservationOrder) {
+  for (uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Case c = Generate(seed);
+    auto in_order = Answer(c);
+    ASSERT_TRUE(in_order.ok()) << in_order.status().ToString();
+    util::Rng shuffle(seed + 1000);
+    shuffle.Shuffle(c.phase1);
+    shuffle.Shuffle(c.phase2);
+    auto shuffled = Answer(c);
+    ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+    ExpectRelative(shuffled->estimate, in_order->estimate, "estimate");
+    ExpectRelative(shuffled->ci_half_width_95, in_order->ci_half_width_95,
+                   "ci_half_width_95");
+    ExpectRelative(shuffled->achieved_error, in_order->achieved_error,
+                   "achieved_error");
+    EXPECT_EQ(shuffled->trimmed_mass, in_order->trimmed_mass);
+    EXPECT_EQ(shuffled->observations_lost, in_order->observations_lost);
+  }
+}
+
+TEST_P(AnswerStepProperties, ScalingValuesScalesEstimateAndInterval) {
+  for (uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Case c = Generate(seed);
+    auto base = Answer(c);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    for (double factor : {0.013, 0.37, 12.5, 4096.0}) {
+      SCOPED_TRACE("factor " + std::to_string(factor));
+      Case scaled = c;
+      for (auto* set : {&scaled.phase1, &scaled.phase2}) {
+        for (core::PeerObservation& obs : *set) {
+          obs.aggregate.count_value *= factor;
+          obs.aggregate.sum_value *= factor;
+          obs.aggregate.total_sum_value *= factor;
+        }
+      }
+      scaled.plan.estimated_total *= factor;
+      auto answer = Answer(scaled);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      ExpectRelative(answer->estimate, factor * base->estimate, "estimate");
+      ExpectRelative(answer->ci_half_width_95,
+                     factor * base->ci_half_width_95, "ci_half_width_95");
+      ExpectRelative(answer->achieved_error, base->achieved_error,
+                     "achieved_error");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CountSumPlainRobustLoss, AnswerStepProperties,
+    ::testing::Combine(::testing::Values(query::AggregateOp::kCount,
+                                         query::AggregateOp::kSum),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == query::AggregateOp::kSum
+                             ? "sum"
+                             : "count") +
+             (std::get<1>(info.param) ? "_robust" : "_plain") +
+             (std::get<2>(info.param) ? "_lossy" : "_lossless");
     });
 
 // ---------------------------------------------------------------------------
